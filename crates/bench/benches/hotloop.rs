@@ -9,11 +9,6 @@
 //! * `day_in_the_life` — a scripted multi-session device day, end to end;
 //! * `fleet_shard` — `ea_fleet` shards at 4 and 64 devices, devices/sec.
 //!
-//! A `batch_step` pair sweeps 256 settled devices through the
-//! struct-of-arrays [`ea_fleet::BatchFleet`] against its per-device
-//! reference backend; the amortized per-device cost is gated at
-//! <100 ns.
-//!
 //! A `serve_ingest` pair measures the streaming service's SPSC ingest
 //! lane: events/sec through one ring (in 64-event batched slices, the
 //! service's shape), against a shared `Mutex<VecDeque>` baseline.
@@ -191,61 +186,6 @@ fn bench_fleet_shard(c: &mut Criterion) {
     group.finish();
 }
 
-/// Devices per batch-kernel sweep; the row the <100 ns/device target is
-/// pinned on.
-const BATCH_DEVICES: usize = 256;
-
-/// Amortized per-device step budget for the settled batch fleet, in
-/// nanoseconds.
-const TARGET_BATCH_STEP_NS: f64 = 100.0;
-
-/// One fleet of [`BATCH_DEVICES`] settled handsets (screen on, radios
-/// quiet, tails long expired) on the requested backend, pre-stepped so
-/// the batch backend's steady-row cache is warm before measurement.
-fn settled_batch_fleet(reference: bool) -> ea_fleet::BatchFleet {
-    use ea_power::{DevicePowerModel, DeviceUsage, ScreenUsage};
-    use ea_sim::Uid;
-
-    let model = DevicePowerModel::nexus4();
-    let policy = ScreenPolicy::SeparateEntity;
-    let step = SimDuration::from_millis(250);
-    let mut fleet = if reference {
-        ea_fleet::BatchFleet::reference(model, policy, step)
-    } else {
-        ea_fleet::BatchFleet::new(model, policy, step)
-    };
-    for device in 0..BATCH_DEVICES {
-        let mut usage = DeviceUsage::idle();
-        let foreground = Uid::from_raw(Uid::FIRST_APP.as_raw() + device as u32 % 32);
-        usage.screen = ScreenUsage::on(120 + (device % 64) as u8, Some(foreground));
-        fleet.spawn(usage, Battery::with_capacity_mah(1.0e9, 3.8));
-    }
-    // Settle: radios were never touched, so one step warms the screen
-    // memo and (on the batch backend) installs every steady row.
-    for _ in 0..4 {
-        fleet.step();
-    }
-    fleet
-}
-
-/// The tentpole row: one struct-of-arrays sweep over 256 settled
-/// devices, against the per-device-model reference backend. The target
-/// is amortized per-device step cost under [`TARGET_BATCH_STEP_NS`].
-fn bench_batch_step(c: &mut Criterion) {
-    let mut group = c.benchmark_group("batch_step");
-    for (label, reference) in [("batch", false), ("reference", true)] {
-        group.bench_with_input(
-            BenchmarkId::new("devices_256", label),
-            &reference,
-            |b, &refr| {
-                let mut fleet = settled_batch_fleet(refr);
-                b.iter(|| fleet.step());
-            },
-        );
-    }
-    group.finish();
-}
-
 /// Events pushed through one ingest lane per timed transfer.
 const INGEST_EVENTS: usize = 16_384;
 
@@ -374,7 +314,6 @@ struct SpeedupSection {
     day_in_the_life: f64,
     fleet_shard: f64,
     fleet_shard_64: f64,
-    batch_step: f64,
     serve_ingest: f64,
     target_single_step: f64,
     single_step_meets_target: bool,
@@ -410,18 +349,6 @@ struct ServeSection {
 }
 
 #[derive(Serialize)]
-struct BatchSection {
-    /// One full sweep over the 256-device settled fleet, batch backend.
-    batch_sweep_ns: f64,
-    reference_sweep_ns: f64,
-    devices: usize,
-    /// `batch_sweep_ns / devices` — the number the <100 ns target gates.
-    amortized_ns_per_device: f64,
-    target_ns_per_device: f64,
-    meets_target: bool,
-}
-
-#[derive(Serialize)]
 struct HotloopReport {
     schema: &'static str,
     benches: Vec<BenchEntry>,
@@ -429,7 +356,6 @@ struct HotloopReport {
     telemetry: TelemetrySection,
     metrics: MetricsSection,
     serve: ServeSection,
-    batch: BatchSection,
 }
 
 /// The label's best (minimum) mean across repeat rounds.
@@ -455,7 +381,6 @@ fn main() {
         bench_single_step(&mut criterion);
         bench_day_in_the_life(&mut criterion);
         bench_fleet_shard(&mut criterion);
-        bench_batch_step(&mut criterion);
         bench_serve_ingest(&mut criterion);
         bench_telemetry(&mut criterion);
     }
@@ -477,8 +402,6 @@ fn main() {
     let fleet_ref = mean_of(&measurements, "fleet_shard/devices_4/reference");
     let fleet64_opt = mean_of(&measurements, "fleet_shard/devices_64/optimized");
     let fleet64_ref = mean_of(&measurements, "fleet_shard/devices_64/reference");
-    let batch_sweep = mean_of(&measurements, "batch_step/devices_256/batch");
-    let batch_ref_sweep = mean_of(&measurements, "batch_step/devices_256/reference");
     let ingest_ring = mean_of(&measurements, "serve_ingest/events_16384/ring");
     let ingest_mutex = mean_of(&measurements, "serve_ingest/events_16384/mutex");
     let sink_off = mean_of(&measurements, "telemetry/step/sink_off");
@@ -490,7 +413,6 @@ fn main() {
         day_in_the_life: day_ref / day_opt,
         fleet_shard: fleet_ref / fleet_opt,
         fleet_shard_64: fleet64_ref / fleet64_opt,
-        batch_step: batch_ref_sweep / batch_sweep,
         serve_ingest: ingest_mutex / ingest_ring,
         target_single_step: TARGET_SINGLE_STEP_SPEEDUP,
         single_step_meets_target: step_ref / step_opt >= TARGET_SINGLE_STEP_SPEEDUP,
@@ -516,18 +438,6 @@ fn main() {
         serve.ring_events_per_sec / 1e6,
         serve.mutex_events_per_sec / 1e6,
         speedup.serve_ingest
-    );
-    let batch = BatchSection {
-        batch_sweep_ns: batch_sweep,
-        reference_sweep_ns: batch_ref_sweep,
-        devices: BATCH_DEVICES,
-        amortized_ns_per_device: batch_sweep / BATCH_DEVICES as f64,
-        target_ns_per_device: TARGET_BATCH_STEP_NS,
-        meets_target: batch_sweep / (BATCH_DEVICES as f64) < TARGET_BATCH_STEP_NS,
-    };
-    println!(
-        "batch step: {:.1} ns/device amortized over {} devices (target < {:.0} ns) | {:.2}x vs per-device models",
-        batch.amortized_ns_per_device, batch.devices, batch.target_ns_per_device, speedup.batch_step
     );
     let metrics = MetricsSection {
         metrics_on_ns: metrics_on,
@@ -565,7 +475,6 @@ fn main() {
         telemetry,
         metrics,
         serve,
-        batch,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotloop.json");
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

@@ -84,30 +84,6 @@ fn every_scenario_bytes_identical() {
 }
 
 #[test]
-fn every_scenario_bytes_identical_across_kernels() {
-    // The SoA batch kernel (`PowerLanes`) against the per-device model
-    // structs, across all scenarios: the tentpole byte-identity contract.
-    for scenario in Scenario::ALL {
-        let batch = fingerprint(scenario, Profiler::eandroid(ScreenPolicy::SeparateEntity));
-        let structs = fingerprint(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity).with_batch_kernel(false),
-        );
-        let name = scenario.name();
-        diff_json(
-            &format!("{name} ledger (kernel axis)"),
-            &batch.0,
-            &structs.0,
-        );
-        diff_json(&format!("{name} graph (kernel axis)"), &batch.1, &structs.1);
-        assert_eq!(
-            batch.2, structs.2,
-            "{name} drained-energy bits (kernel axis)"
-        );
-    }
-}
-
-#[test]
 fn fig03_depletion_curves_identical() {
     for case in DepletionCase::ALL {
         let optimized = run_depletion(case, 1);
@@ -140,60 +116,6 @@ fn fine_step_profiles_identical() {
         serde_json::to_string(optimized.profiler.collateral().unwrap()).unwrap(),
         serde_json::to_string(reference.profiler.collateral().unwrap()).unwrap(),
     );
-}
-
-/// Like [`fingerprint`], but the scenario runs on a caller-booted system
-/// with the lifecycle axis pinned: `reference = true` selects the
-/// pre-reducer imperative path, `false` the default reducer/reconciler.
-fn fingerprint_lifecycle(
-    scenario: Scenario,
-    profiler: Profiler,
-    reference: bool,
-) -> (String, String, u64) {
-    let mut android = ea_framework::AndroidSystem::new();
-    android.set_reference_lifecycle(reference);
-    let run = scenario.run_with(android, profiler);
-    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
-    let graph = match run.profiler.collateral() {
-        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
-        None => String::new(),
-    };
-    let drained = run.profiler.battery().drained().as_joules().to_bits();
-    (ledger, graph, drained)
-}
-
-#[test]
-fn every_scenario_bytes_identical_across_lifecycle_paths() {
-    // The reducer/reconciler lifecycle core against the pre-reducer
-    // imperative path, across all 14 scenarios: intent recording is pure
-    // observation, so swapping the axis must not move a byte.
-    for scenario in Scenario::ALL {
-        let reducer = fingerprint_lifecycle(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity),
-            false,
-        );
-        let reference = fingerprint_lifecycle(
-            scenario,
-            Profiler::eandroid(ScreenPolicy::SeparateEntity),
-            true,
-        );
-        let name = scenario.name();
-        diff_json(
-            &format!("{name} ledger (lifecycle axis)"),
-            &reducer.0,
-            &reference.0,
-        );
-        diff_json(
-            &format!("{name} graph (lifecycle axis)"),
-            &reducer.1,
-            &reference.1,
-        );
-        assert_eq!(
-            reducer.2, reference.2,
-            "{name} drained-energy bits (lifecycle axis)"
-        );
-    }
 }
 
 /// Like [`fingerprint`], but with a fault plan attached via the chaos
@@ -286,206 +208,4 @@ fn fleet_report_bytes_stable_across_jobs_and_paths() {
         render::to_json(&report),
         "fleet report changed on the reference accounting path"
     );
-}
-
-#[test]
-fn fleet_report_bytes_stable_across_kernel_and_scheduler_axes() {
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    // Every combination of power kernel × event-queue backend, swept
-    // across worker counts, must reproduce the same bytes.
-    for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-        for jobs in [1, 4, 8] {
-            let (report, _) = run_fleet(&FleetConfig {
-                batch_kernel,
-                reference_scheduler,
-                jobs,
-                ..base.clone()
-            });
-            assert_eq!(
-                golden,
-                render::to_json(&report),
-                "fleet report changed at batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler} jobs={jobs}"
-            );
-        }
-    }
-}
-
-#[test]
-fn faulted_fleet_report_bytes_stable_across_kernel_and_scheduler_axes() {
-    // An active (non-zero) fault plan exercises chaos panics, retries,
-    // counter glitches, and framework faults; the kernel and scheduler
-    // switches must still not move a byte.
-    let base = FleetConfig {
-        jobs: 1,
-        faults: Some(ea_chaos::FaultPlan::uniform(2_026, 0.35)),
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-        for jobs in [4, 8] {
-            let (report, _) = run_fleet(&FleetConfig {
-                batch_kernel,
-                reference_scheduler,
-                jobs,
-                ..base.clone()
-            });
-            assert_eq!(
-                golden,
-                render::to_json(&report),
-                "faulted fleet report changed at batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler} jobs={jobs}"
-            );
-        }
-    }
-}
-
-#[test]
-fn fleet_report_bytes_stable_across_lifecycle_axis() {
-    // Reducer lifecycle (default) against `--reference-lifecycle`, swept
-    // across worker counts and crossed with the other oracle axes. The
-    // smoke fleet completes every device, so the reference path's lack
-    // of intent logs cannot surface in the report — the bytes must match.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for jobs in [1, 4, 8] {
-        let (report, _) = run_fleet(&FleetConfig {
-            reference_lifecycle: true,
-            jobs,
-            ..base.clone()
-        });
-        assert_eq!(
-            golden,
-            render::to_json(&report),
-            "fleet report changed under --reference-lifecycle at jobs={jobs}"
-        );
-    }
-    let (report, _) = run_fleet(&FleetConfig {
-        reference_lifecycle: true,
-        batch_kernel: false,
-        reference_scheduler: true,
-        jobs: 4,
-        ..base.clone()
-    });
-    assert_eq!(
-        golden,
-        render::to_json(&report),
-        "fleet report changed with every oracle axis flipped at once"
-    );
-}
-
-#[test]
-fn faulted_fleet_report_bytes_stable_across_lifecycle_axis() {
-    // An active plan under the lifecycle axis. Panics and slow devices
-    // are excluded: an abandoned device records its intent-log tail on
-    // the reducer path and `None` on the reference path, so only a
-    // failure-free plan can demand byte identity across the axis.
-    let plan = ea_chaos::FaultPlan {
-        seed: 2_026,
-        rates: ea_chaos::FaultRates {
-            device_panic: 0.0,
-            slow_device: 0.0,
-            ..ea_chaos::FaultRates::uniform(0.35)
-        },
-    };
-    let base = FleetConfig {
-        jobs: 1,
-        faults: Some(plan),
-        ..FleetConfig::smoke(6, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-    assert!(
-        report.failures.is_empty(),
-        "plan must stay failure-free for the cross-axis comparison"
-    );
-
-    for jobs in [1, 4, 8] {
-        let (report, _) = run_fleet(&FleetConfig {
-            reference_lifecycle: true,
-            jobs,
-            ..base.clone()
-        });
-        assert_eq!(
-            golden,
-            render::to_json(&report),
-            "faulted fleet report changed under --reference-lifecycle at jobs={jobs}"
-        );
-    }
-}
-
-#[test]
-fn streamed_report_bytes_stable_across_lanes_and_lifecycle_axis() {
-    // The serve path across the lifecycle axis: streamed bytes must
-    // match the batch engine's at every lane count on both paths.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(5, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for lanes in [1, 2, 5] {
-        for reference_lifecycle in [false, true] {
-            let config = ea_serve::ServeConfig {
-                lanes,
-                ..ea_serve::ServeConfig::new(FleetConfig {
-                    reference_lifecycle,
-                    ..base.clone()
-                })
-            };
-            let (streamed, _) = ea_serve::run_serve(&config, None).expect("no socket: cannot fail");
-            assert_eq!(
-                golden,
-                render::to_json(&streamed),
-                "streamed report changed at lanes={lanes} \
-                 reference_lifecycle={reference_lifecycle}"
-            );
-        }
-    }
-}
-
-#[test]
-fn streamed_report_bytes_stable_across_lanes_and_axes() {
-    // The serve path: the streamed report must match the batch engine's
-    // bytes at every lane count, on both kernels and both schedulers.
-    let base = FleetConfig {
-        jobs: 1,
-        ..FleetConfig::smoke(5, 2_026)
-    };
-    let (report, _) = run_fleet(&base);
-    let golden = render::to_json(&report);
-
-    for lanes in [1, 2, 5] {
-        for (batch_kernel, reference_scheduler) in [(true, false), (false, true)] {
-            let config = ea_serve::ServeConfig {
-                lanes,
-                ..ea_serve::ServeConfig::new(FleetConfig {
-                    batch_kernel,
-                    reference_scheduler,
-                    ..base.clone()
-                })
-            };
-            let (streamed, _) = ea_serve::run_serve(&config, None).expect("no socket: cannot fail");
-            assert_eq!(
-                golden,
-                render::to_json(&streamed),
-                "streamed report changed at lanes={lanes} batch_kernel={batch_kernel} \
-                 reference_scheduler={reference_scheduler}"
-            );
-        }
-    }
 }

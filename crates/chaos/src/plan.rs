@@ -282,6 +282,45 @@ mod tests {
         assert!(FaultPlan::parse("/no/such/plan.json", 9).is_err());
     }
 
+    /// Writes `text` to a per-process temp file and parses it as a
+    /// `--faults` plan file.
+    fn parse_plan_file(name: &str, text: &str) -> Result<FaultPlan, String> {
+        let path = std::env::temp_dir().join(format!("ea-chaos-{}-{name}", std::process::id()));
+        std::fs::write(&path, text).expect("write plan file");
+        let parsed = FaultPlan::parse(path.to_str().expect("utf-8 temp path"), 0);
+        let _ = std::fs::remove_file(&path);
+        parsed
+    }
+
+    #[test]
+    fn partial_plan_file_leaves_unspecified_rates_at_zero() {
+        let plan = parse_plan_file("partial.json", r#"{"seed":7,"rates":{"intent_drop":0.2}}"#)
+            .expect("a partial rates map parses");
+        assert_eq!(plan.seed, 7, "the file's own seed wins");
+        assert_eq!(
+            plan.rates,
+            FaultRates {
+                intent_drop: 0.2,
+                ..FaultRates::ZERO
+            }
+        );
+        let empty = parse_plan_file("empty.json", r#"{"seed":7,"rates":{}}"#)
+            .expect("an empty rates map parses");
+        assert!(empty.is_zero());
+    }
+
+    #[test]
+    fn non_object_plan_file_is_an_error() {
+        for (name, text) in [
+            ("array.json", "[0.1, 0.2]"),
+            ("rates.json", r#"{"seed":7,"rates":[0.2]}"#),
+            ("no-rates.json", r#"{"seed":7}"#),
+        ] {
+            let error = parse_plan_file(name, text).expect_err("not a plan");
+            assert!(error.starts_with("bad fault plan"), "{name}: {error}");
+        }
+    }
+
     #[test]
     fn plan_round_trips_through_json() {
         let plan = FaultPlan::uniform(7, 0.1);

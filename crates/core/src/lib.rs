@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 mod accounting;
-mod batch;
 mod chaos;
 mod detector;
 mod energy_map;
@@ -78,7 +77,6 @@ mod timeline;
 pub use accounting::{
     attribute, attribute_into, collateral_consumers, collateral_consumers_into, ScreenPolicy,
 };
-pub use batch::BatchAccounts;
 pub use chaos::ProfilerChaos;
 pub use detector::{flagged, report, CollateralFinding, DetectorConfig, FlagReason};
 pub use energy_map::{CollateralEntry, CollateralGraph, LinkToken};

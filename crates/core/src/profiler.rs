@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ea_framework::{AndroidSystem, TimedEvent};
 use ea_metrics::{ProfilerMetrics, WindowSpec};
-use ea_power::{Battery, ComponentDraw, DevicePowerModel, DeviceUsage, Energy, PowerLanes};
+use ea_power::{Battery, ComponentDraw, DevicePowerModel, DeviceUsage, Energy};
 use ea_sim::SimDuration;
 use ea_telemetry::{span, SinkHandle, TelemetryEvent, TelemetrySink};
 
@@ -61,10 +61,6 @@ pub struct Profiler {
     /// a concrete type (no sink virtual call) so metrics-on stays at the
     /// step benchmark's noise floor.
     metrics: Option<Box<ProfilerMetrics>>,
-    /// The struct-of-arrays batch kernel (one lane for a single handset),
-    /// the default power-evaluation path. `None` routes evaluation through
-    /// the reference [`DevicePowerModel`] structs instead.
-    lanes: Option<PowerLanes>,
     /// Scratch buffers recycled across steps so a steady-state tick makes
     /// no heap allocations on the optimized path.
     events_scratch: Vec<TimedEvent>,
@@ -97,7 +93,6 @@ impl Profiler {
             reference: false,
             chaos: None,
             metrics: None,
-            lanes: Some(Self::single_lane(DevicePowerModel::nexus4())),
             events_scratch: Vec::new(),
             usage_scratch: DeviceUsage::idle(),
             draws_scratch: Vec::new(),
@@ -105,13 +100,6 @@ impl Profiler {
             interval_charges_scratch: Vec::new(),
             staged_events: Vec::new(),
         }
-    }
-
-    /// A one-lane batch kernel parameterized by `model`.
-    fn single_lane(model: DevicePowerModel) -> PowerLanes {
-        let mut lanes = PowerLanes::new(model);
-        lanes.push_lane();
-        lanes
     }
 
     /// An E-Android profiler: baseline accounting plus collateral
@@ -125,26 +113,8 @@ impl Profiler {
 
     /// Replaces the hardware model (default: Nexus 4 calibration).
     pub fn with_model(mut self, model: DevicePowerModel) -> Self {
-        if self.lanes.is_some() {
-            self.lanes = Some(Self::single_lane(model.clone()));
-        }
         self.model = model;
         self
-    }
-
-    /// Selects the power-evaluation kernel: the struct-of-arrays batch
-    /// kernel (default, `true`) or the reference [`DevicePowerModel`]
-    /// structs (`false`). Results are byte-identical either way — the
-    /// golden suite asserts it; only the step cost differs. Call before
-    /// the first step.
-    pub fn with_batch_kernel(mut self, enabled: bool) -> Self {
-        self.lanes = enabled.then(|| Self::single_lane(self.model.clone()));
-        self
-    }
-
-    /// Whether power evaluation runs on the batch kernel.
-    pub fn is_batch_kernel(&self) -> bool {
-        self.lanes.is_some()
     }
 
     /// Replaces the battery (default: Nexus 4 pack).
@@ -199,9 +169,6 @@ impl Profiler {
     /// `hotloop` bench suite measures the gap. Call before the first step.
     pub fn with_reference_accounting(mut self) -> Self {
         self.reference = true;
-        // The reference step evaluates power through the model structs, so
-        // the batch kernel is detached with it.
-        self.lanes = None;
         self.ledger = EnergyLedger::reference();
         if let Some(monitor) = &mut self.monitor {
             let mut reference = CollateralMonitor::reference();
@@ -301,20 +268,8 @@ impl Profiler {
             monitor.observe(&self.events_scratch);
         }
         android.usage_snapshot_into(&mut self.usage_scratch);
-        match &mut self.lanes {
-            Some(lanes) => {
-                lanes.observe_into(
-                    0,
-                    android.now(),
-                    &self.usage_scratch,
-                    &mut self.draws_scratch,
-                );
-            }
-            None => {
-                self.model
-                    .draws_into(android.now(), &self.usage_scratch, &mut self.draws_scratch);
-            }
-        }
+        self.model
+            .draws_into(android.now(), &self.usage_scratch, &mut self.draws_scratch);
         let drained_before = self.battery.drained();
         // Chaos pre-pass: drains the battery with true energy and rescales
         // glitched draws to their sanitized values, so the loop below must
@@ -700,32 +655,6 @@ mod tests {
         android.install(manifest("com.b"));
         android.user_launch("com.a").unwrap();
         android
-    }
-
-    #[test]
-    fn batch_kernel_matches_reference_kernel_bitwise() {
-        let run = |batch: bool| {
-            let mut android = busy_handset();
-            let mut profiler =
-                Profiler::eandroid(ScreenPolicy::SeparateEntity).with_batch_kernel(batch);
-            assert_eq!(profiler.is_batch_kernel(), batch);
-            profiler.run(&mut android, SimDuration::from_secs(120));
-            profiler
-        };
-        let batch = run(true);
-        let reference = run(false);
-        assert_eq!(
-            batch.battery().drained().as_joules().to_bits(),
-            reference.battery().drained().as_joules().to_bits(),
-        );
-        assert_eq!(
-            batch.integrated_energy().as_joules().to_bits(),
-            reference.integrated_energy().as_joules().to_bits(),
-        );
-        assert_eq!(
-            serde_json::to_string(batch.ledger()).unwrap(),
-            serde_json::to_string(reference.ledger()).unwrap(),
-        );
     }
 
     #[test]

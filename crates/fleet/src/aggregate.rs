@@ -44,8 +44,9 @@ pub struct DeviceFailure {
     #[serde(default)]
     pub flight_recorder: Option<FlightDump>,
     /// The tail of the final attempt's lifecycle intent log, salvaged
-    /// through the supervisor's recorder mirror. Present on the default
-    /// reducer lifecycle path; `None` under `--reference-lifecycle`.
+    /// through the supervisor's recorder mirror. The supervisor attaches
+    /// one to every failure; `None` only in reports written before
+    /// intent logs existed.
     /// Together with `checkpoint` this is the replay input:
     /// `eandroid replay` re-executes the device and asserts the fresh
     /// log matches this one byte for byte.

@@ -52,25 +52,6 @@ pub struct FleetConfig {
     /// hot-loop speedup on the full fleet workload in a single run.
     #[serde(default)]
     pub reference_accounting: bool,
-    /// Evaluate every device's power model through the struct-of-arrays
-    /// batch kernel (`ea_power::PowerLanes`), the default. Off routes
-    /// through the per-device model structs. The two kernels are
-    /// byte-equivalent by contract; the switch exists so goldens and
-    /// benchmarks can compare them on the full fleet workload.
-    #[serde(default = "default_batch_kernel")]
-    pub batch_kernel: bool,
-    /// Run every device's framework on the binary-heap reference
-    /// scheduler instead of the default calendar queue. Byte-equivalent
-    /// by contract; the oracle half of the scheduler goldens.
-    #[serde(default)]
-    pub reference_scheduler: bool,
-    /// Run every device's framework on the pre-reducer imperative
-    /// lifecycle path: no desired-state reducer, no intent log, so
-    /// crashed devices carry no intent-log tail and cannot be replayed
-    /// from their forensics bundle. Byte-equivalent for every completed
-    /// device by contract; the oracle half of the lifecycle goldens.
-    #[serde(default)]
-    pub reference_lifecycle: bool,
     /// Fault-injection plan, applied to every device on its own lane
     /// (counter glitches, framework faults, device panics, slow devices,
     /// poisoned corpus entries). `None` — or a zero-rate plan — leaves the
@@ -96,10 +77,6 @@ fn default_max_retries() -> u32 {
     2
 }
 
-fn default_batch_kernel() -> bool {
-    true
-}
-
 impl Default for FleetConfig {
     fn default() -> Self {
         FleetConfig {
@@ -118,9 +95,6 @@ impl Default for FleetConfig {
             step_millis: 250,
             panic_devices: Vec::new(),
             reference_accounting: false,
-            batch_kernel: default_batch_kernel(),
-            reference_scheduler: false,
-            reference_lifecycle: false,
             faults: None,
             max_retries: default_max_retries(),
             flight_recorder: 0,
@@ -145,20 +119,16 @@ impl FleetConfig {
     }
 
     /// This configuration with every execution-only knob reset to its
-    /// default: worker count, the oracle axes (reference accounting /
-    /// scheduler / lifecycle, batch kernel), and the flight-recorder
-    /// capacity. None of these may change a device's outcome, so two
-    /// runs that are byte-identical by contract normalize to the same
-    /// config — which is what lets [`crate::FleetReport`] embed it as
-    /// the replay recipe without breaking cross-axis goldens.
+    /// default: worker count, reference accounting, and the
+    /// flight-recorder capacity. None of these may change a device's
+    /// outcome, so two runs that are byte-identical by contract normalize
+    /// to the same config — which is what lets [`crate::FleetReport`]
+    /// embed it as the replay recipe.
     #[must_use]
     pub fn normalized_for_replay(&self) -> Self {
         FleetConfig {
             jobs: 0,
             reference_accounting: false,
-            batch_kernel: default_batch_kernel(),
-            reference_scheduler: false,
-            reference_lifecycle: false,
             flight_recorder: 0,
             // A zero-rate plan is a strict no-op by contract, so it
             // normalizes away: attaching one must not change the report.
@@ -196,6 +166,17 @@ mod tests {
     #[test]
     fn different_fleet_seeds_give_different_schedules() {
         assert_ne!(device_seed(1, 0), device_seed(2, 0));
+    }
+
+    #[test]
+    fn missing_defaulted_fields_take_their_defaults() {
+        // Only the fields without a `#[serde(default ...)]`.
+        let text = r#"{"seed":2026,"size":64,"jobs":0,"corpus_seed":2017,
+            "corpus_size":1124,"min_apps":4,"max_apps":16,"infection_rate":0.3,
+            "benign_bug_rate":0.15,"sessions":2,"mean_session_secs":25,
+            "mean_idle_secs":45,"step_millis":250,"panic_devices":[]}"#;
+        let parsed: FleetConfig = serde_json::from_str(text).expect("defaults fill the gaps");
+        assert_eq!(parsed, FleetConfig::default());
     }
 
     #[test]

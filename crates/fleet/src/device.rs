@@ -6,7 +6,6 @@
 //! profiler state is local, and nothing reads clocks or global state, so
 //! the same device produces the same report on any worker thread.
 
-use std::cell::Cell;
 use std::collections::BTreeMap;
 
 use ea_apps::demo::{packages, DemoApps, ACTION_VIDEO_CAPTURE};
@@ -127,43 +126,24 @@ pub struct DeviceReport {
     pub fault_log: FaultLog,
 }
 
-/// Simulates device `index` of the fleet and reports the outcome.
+/// Simulates device `index` of the fleet and reports the outcome — the one
+/// public per-device entry point.
+///
+/// `attempt` re-keys the injected device panic (so a supervised retry can
+/// succeed where the first attempt crashed). `on_checkpoint` fires after
+/// every completed session with the device's progress snapshot; the
+/// supervisor salvages the last one when a later session panics, and the
+/// streaming service forwards them into its ingest lanes. `flight`
+/// (usually an [`ea_metrics::FlightRecorder`]) receives every framework
+/// and profiler emission. Both are observation only: because the sink sees
+/// only sim-time data and emission never feeds back into the simulation,
+/// attaching either never changes the report.
 ///
 /// # Panics
 ///
 /// Panics when `index` is listed in `config.panic_devices` (deliberate
-/// fault injection; the engine catches it and records a
-/// [`crate::DeviceFailure`]).
-pub fn simulate_device(config: &FleetConfig, corpus: &[AppManifest], index: usize) -> DeviceReport {
-    let checkpoint = Cell::new(None);
-    simulate_device_attempt(config, corpus, index, 0, &checkpoint, None)
-}
-
-/// [`simulate_device`] under supervision: `attempt` re-keys the injected
-/// device panic (so a retry can succeed where the first attempt crashed)
-/// and `checkpoint` receives a progress snapshot after every completed
-/// session, readable by the supervisor even after a panic unwinds.
-/// `flight` (usually an [`ea_metrics::FlightRecorder`]) receives every
-/// framework and profiler emission; because the sink sees only sim-time
-/// data and emission never feeds back into the simulation, attaching one
-/// does not change the report.
-pub fn simulate_device_attempt(
-    config: &FleetConfig,
-    corpus: &[AppManifest],
-    index: usize,
-    attempt: u32,
-    checkpoint: &Cell<Option<DeviceCheckpoint>>,
-    flight: Option<&SinkHandle>,
-) -> DeviceReport {
-    let on_checkpoint = |snapshot: DeviceCheckpoint| checkpoint.set(Some(snapshot));
-    simulate_device_observed(config, corpus, index, attempt, &on_checkpoint, flight)
-}
-
-/// [`simulate_device_attempt`] with a checkpoint *callback* instead of a
-/// cell: `on_checkpoint` fires after every completed session with the
-/// device's progress snapshot. The streaming service forwards these into
-/// its ingest lanes; the batch path wraps a [`Cell`] setter around it.
-/// Observation only — attaching a callback never changes the report.
+/// fault injection; the supervisor catches it and records a
+/// [`crate::DeviceFailure`]), and at a fault plan's chosen session.
 pub fn simulate_device_observed(
     config: &FleetConfig,
     corpus: &[AppManifest],
@@ -176,13 +156,12 @@ pub fn simulate_device_observed(
 }
 
 /// [`simulate_device_observed`] with an intent-log mirror: when `intents`
-/// is attached (and the config runs the default reducer lifecycle path),
-/// every lifecycle transition the device's framework records is also
-/// appended to the shared recorder, which survives a panic unwinding and
-/// becomes the [`crate::DeviceFailure`] forensics tail. Observation only
-/// — attaching a recorder never changes the report.
+/// is attached, every lifecycle transition the device's framework records
+/// is also appended to the shared recorder, which survives a panic
+/// unwinding and becomes the [`crate::DeviceFailure`] forensics tail.
+/// Observation only — attaching a recorder never changes the report.
 #[allow(clippy::too_many_arguments)]
-pub fn simulate_device_forensic(
+pub(crate) fn simulate_device_forensic(
     config: &FleetConfig,
     corpus: &[AppManifest],
     index: usize,
@@ -198,12 +177,6 @@ pub fn simulate_device_forensic(
     let seed = device_seed(config.seed, index);
     let mut rng = SimRng::seed(seed);
     let mut android = AndroidSystem::new();
-    if config.reference_scheduler {
-        android.set_reference_scheduler(true);
-    }
-    if config.reference_lifecycle {
-        android.set_reference_lifecycle(true);
-    }
     if let Some(recorder) = intents {
         android.set_intent_recorder(recorder.clone());
     }
@@ -274,8 +247,7 @@ pub fn simulate_device_forensic(
     let lint_report = Linter::new().lint_system(&android);
 
     let mut profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity)
-        .with_step(SimDuration::from_millis(config.step_millis.max(1)))
-        .with_batch_kernel(config.batch_kernel);
+        .with_step(SimDuration::from_millis(config.step_millis.max(1)));
     if let Some(handle) = flight {
         profiler.set_telemetry_handle(handle.clone());
     }
@@ -684,6 +656,10 @@ mod tests {
     use super::*;
     use ea_corpus::{generate_corpus, CorpusConfig};
 
+    fn simulate_device(config: &FleetConfig, corpus: &[AppManifest], index: usize) -> DeviceReport {
+        simulate_device_observed(config, corpus, index, 0, &|_| {}, None)
+    }
+
     fn corpus_for(config: &FleetConfig) -> Vec<AppManifest> {
         generate_corpus(
             &CorpusConfig {
@@ -717,44 +693,6 @@ mod tests {
             0,
         );
         assert_eq!(optimized, reference, "slot-interned path must match");
-    }
-
-    #[test]
-    fn kernel_and_scheduler_axes_are_result_equivalent() {
-        let config = FleetConfig::smoke(1, 99);
-        let corpus = corpus_for(&config);
-        let default_path = simulate_device(&config, &corpus, 0);
-        for (batch_kernel, reference_scheduler) in [(false, false), (true, true), (false, true)] {
-            let other = simulate_device(
-                &FleetConfig {
-                    batch_kernel,
-                    reference_scheduler,
-                    ..config.clone()
-                },
-                &corpus,
-                0,
-            );
-            assert_eq!(
-                default_path, other,
-                "batch_kernel={batch_kernel} reference_scheduler={reference_scheduler} diverged"
-            );
-        }
-    }
-
-    #[test]
-    fn reference_lifecycle_is_result_equivalent() {
-        let config = FleetConfig::smoke(1, 99);
-        let corpus = corpus_for(&config);
-        let reducer = simulate_device(&config, &corpus, 0);
-        let reference = simulate_device(
-            &FleetConfig {
-                reference_lifecycle: true,
-                ..config
-            },
-            &corpus,
-            0,
-        );
-        assert_eq!(reducer, reference, "lifecycle paths must match");
     }
 
     #[test]

@@ -140,14 +140,6 @@ pub fn run_fleet_observed(
                 let mut local_sketch = QuantileSketch::default();
                 let flight = (config.flight_recorder > 0)
                     .then(|| Arc::new(FlightRecorder::new(config.flight_recorder)));
-                // One intent-log mirror per worker, reset per attempt by
-                // the supervisor: on the reducer path every abandoned
-                // device ships its log tail for `eandroid replay`.
-                let intents = (!config.reference_lifecycle).then(|| {
-                    Arc::new(ea_framework::IntentLogRecorder::new(
-                        ea_framework::INTENT_LOG_CAPACITY,
-                    ))
-                });
                 loop {
                     let shard = next_shard.fetch_add(1, Ordering::Relaxed);
                     if shard >= shard_count {
@@ -161,7 +153,6 @@ pub fn run_fleet_observed(
                             flight: flight.as_ref(),
                             observatory,
                             on_checkpoint: None,
-                            intents: intents.as_ref(),
                         };
                         let outcome = supervise_device(config, corpus, index, &mut tally, &hooks);
                         let device_secs = device_started.elapsed().as_secs_f64();

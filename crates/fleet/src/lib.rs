@@ -37,7 +37,6 @@
 
 mod aggregate;
 mod arena;
-mod batch;
 mod config;
 mod device;
 mod engine;
@@ -51,12 +50,8 @@ pub use aggregate::{
     KindPrevalence, LintCrossCheck, RankedEntity,
 };
 pub use arena::{SlotArena, SlotSpawn};
-pub use batch::BatchFleet;
 pub use config::{device_seed, FleetConfig};
-pub use device::{
-    simulate_device, simulate_device_attempt, simulate_device_forensic, simulate_device_observed,
-    DeviceCheckpoint, DeviceReport, CHAOS_PANIC_PREFIX,
-};
+pub use device::{simulate_device_observed, DeviceCheckpoint, DeviceReport, CHAOS_PANIC_PREFIX};
 pub use engine::{run_fleet, run_fleet_observed, run_fleet_traced, FleetRunStats};
 pub use merge::ReportFold;
 pub use replay::{

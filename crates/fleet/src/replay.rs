@@ -15,10 +15,8 @@
 //! devices: re-simulate a sample of completed devices and compare their
 //! fresh reports against the recorded [`DeviceRow`]s bit for bit.
 
-use std::sync::Arc;
-
 use ea_corpus::{generate_corpus, CorpusConfig};
-use ea_framework::{AppManifest, IntentLogRecorder, INTENT_LOG_CAPACITY};
+use ea_framework::AppManifest;
 use serde::{Deserialize, Serialize};
 
 use crate::aggregate::{DeviceFailure, DeviceRow, FleetReport};
@@ -78,9 +76,8 @@ impl ReplayReport {
 
 /// Re-executes the failed device under a fresh supervisor and compares
 /// the outcome against the recorded bundle. The config is normalized
-/// first ([`FleetConfig::normalized_for_replay`]), so the replay always
-/// runs the default reducer lifecycle path with its own intent-log
-/// mirror; `config` is typically a report's embedded `replay_config`.
+/// first ([`FleetConfig::normalized_for_replay`]); `config` is typically
+/// a report's embedded `replay_config`.
 #[must_use]
 pub fn replay_failure(
     config: &FleetConfig,
@@ -106,13 +103,14 @@ pub fn replay_failure(
         };
     }
 
-    let intents = Arc::new(IntentLogRecorder::new(INTENT_LOG_CAPACITY));
-    let hooks = SuperviseHooks {
-        intents: Some(&intents),
-        ..SuperviseHooks::default()
-    };
     let mut tally = Supervision::default();
-    let outcome = supervise_device(&replay_config, corpus, failure.index, &mut tally, &hooks);
+    let outcome = supervise_device(
+        &replay_config,
+        corpus,
+        failure.index,
+        &mut tally,
+        &SuperviseHooks::default(),
+    );
 
     let mut replayed_intents = 0;
     match outcome {

@@ -12,7 +12,7 @@
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Once};
 
-use ea_framework::IntentLogRecorder;
+use ea_framework::{IntentLogRecorder, INTENT_LOG_CAPACITY};
 use ea_metrics::{FleetObservatory, FlightRecorder};
 use ea_telemetry::SinkHandle;
 
@@ -137,11 +137,6 @@ pub struct SuperviseHooks<'a> {
     /// lane as checkpoint events. Called inside the panic boundary, so
     /// the hook must tolerate the attempt unwinding right after it runs.
     pub on_checkpoint: Option<&'a (dyn Fn(DeviceCheckpoint) + 'a)>,
-    /// Lifecycle intent-log mirror, reset per attempt and dumped into
-    /// the [`DeviceFailure`] (and the flight dump's `intent_tail`) on
-    /// abandonment — the replay input for `eandroid replay`. Only
-    /// meaningful on the default reducer lifecycle path.
-    pub intents: Option<&'a Arc<IntentLogRecorder>>,
 }
 
 /// Deterministic per-attempt backoff before a device retry: a short,
@@ -154,9 +149,12 @@ fn retry_backoff(fleet_seed: u64, index: usize, attempt: u32) -> std::time::Dura
 
 /// Supervises one device: bounded retries with seeded backoff, partial
 /// progress salvaged through a checkpoint cell updated by the simulation.
-/// When a flight recorder is attached, the ring is cleared before every
-/// attempt (so a dump never mixes attempts) and snapshotted into the
-/// [`DeviceFailure`] on abandonment.
+/// The device's lifecycle intent log is mirrored into a recorder that
+/// survives the unwinding, reset per attempt and dumped into the
+/// [`DeviceFailure`] (and the flight dump's `intent_tail`) on abandonment
+/// — the replay input for `eandroid replay`. When a flight recorder is
+/// attached, the ring is likewise cleared before every attempt (so a dump
+/// never mixes attempts) and snapshotted into the failure.
 // The Err arm is the full forensics bundle (checkpoint + flight dump +
 // intent-log tail); it only materializes on the cold abandonment path,
 // where its size is irrelevant.
@@ -169,6 +167,7 @@ pub fn supervise_device(
     hooks: &SuperviseHooks<'_>,
 ) -> Result<DeviceReport, DeviceFailure> {
     let checkpoint = std::cell::Cell::new(None);
+    let intents = Arc::new(IntentLogRecorder::new(INTENT_LOG_CAPACITY));
     let flight_handle = hooks
         .flight
         .map(|recorder| SinkHandle::new(recorder.clone()));
@@ -177,9 +176,7 @@ pub fn supervise_device(
         if let Some(recorder) = hooks.flight {
             recorder.reset();
         }
-        if let Some(recorder) = hooks.intents {
-            recorder.reset();
-        }
+        intents.reset();
         let result = panic::catch_unwind(AssertUnwindSafe(|| {
             let on_checkpoint = |snapshot: DeviceCheckpoint| {
                 checkpoint.set(Some(snapshot));
@@ -194,7 +191,7 @@ pub fn supervise_device(
                 attempts,
                 &on_checkpoint,
                 flight_handle.as_ref(),
-                hooks.intents,
+                Some(&intents),
             )
         }));
         attempts += 1;
@@ -215,17 +212,15 @@ pub fn supervise_device(
                 }
                 if attempts > config.max_retries {
                     tally.abandoned += 1;
-                    let intent_log = hooks.intents.map(|recorder| recorder.dump());
+                    let intent_log = intents.dump();
                     // The flight dump and the intent log travel as one
                     // forensics bundle: stitch the log tail into the dump
                     // so either artifact alone suffices for replay.
                     let flight_recorder = hooks.flight.map(|recorder| {
                         let mut dump = recorder.dump();
-                        dump.intent_tail = intent_log.as_ref().and_then(|log| {
-                            serde_json::to_string(log)
-                                .ok()
-                                .and_then(|text| serde_json::from_str(&text).ok())
-                        });
+                        dump.intent_tail = serde_json::to_string(&intent_log)
+                            .ok()
+                            .and_then(|text| serde_json::from_str(&text).ok());
                         dump
                     });
                     return Err(DeviceFailure {
@@ -235,7 +230,7 @@ pub fn supervise_device(
                         attempts,
                         checkpoint: checkpoint.get(),
                         flight_recorder,
-                        intent_log,
+                        intent_log: Some(intent_log),
                     });
                 }
                 if attempts == 1 {

@@ -81,9 +81,8 @@ struct PendingResolver {
     candidates: Vec<(Uid, String)>,
 }
 
-/// Reducer-path lifecycle bookkeeping: the desired-state reducer, the
-/// bounded per-device intent log, and the optional supervisor-shared
-/// mirror. `None` selects the pre-split imperative reference path.
+/// Lifecycle bookkeeping: the desired-state reducer, the bounded
+/// per-device intent log, and the optional supervisor-shared mirror.
 #[derive(Debug)]
 struct LifecycleCore {
     reducer: LifecycleReducer,
@@ -169,14 +168,11 @@ pub struct AndroidSystem {
     faults: Option<Box<FrameworkFaults>>,
     /// Death notifications delayed by binder faults: the wakelocks whose
     /// link-to-death should have fired, due at the scheduled instant.
-    /// Runs on the calendar-queue backend by default; see
-    /// [`AndroidSystem::set_reference_scheduler`].
     deferred_death_locks: EventQueue<WakelockId>,
     /// Last time the power-manager sweep reconciled leaked wakelocks.
     last_fault_sweep: SimTime,
-    /// The lifecycle intent core (reducer + log), `None` on the
-    /// reference path. See [`AndroidSystem::set_reference_lifecycle`].
-    lifecycle: Option<Box<LifecycleCore>>,
+    /// The lifecycle intent core (reducer + log).
+    lifecycle: Box<LifecycleCore>,
 }
 
 impl AndroidSystem {
@@ -220,7 +216,7 @@ impl AndroidSystem {
             faults: None,
             deferred_death_locks: EventQueue::new(),
             last_fault_sweep: SimTime::ZERO,
-            lifecycle: Some(Box::new(LifecycleCore::new())),
+            lifecycle: Box::new(LifecycleCore::new()),
         };
         system.install_system_app(Uid::from_raw(1_001), SYSTEM_PACKAGES[0]);
         system.install_system_app(Uid::from_raw(1_002), SYSTEM_PACKAGES[1]);
@@ -1482,7 +1478,7 @@ impl AndroidSystem {
         let now = self.clock.now();
         let mut released = false;
         // Due notices deliver in strict (due-time, schedule-order): the
-        // event queue's pop order, identical on both scheduler backends.
+        // event queue's pop order.
         while self
             .deferred_death_locks
             .peek_time()
@@ -1511,29 +1507,15 @@ impl AndroidSystem {
             return;
         }
         self.last_fault_sweep = now;
-        // The reconciler's work list: desired-released-but-observed-held
-        // locks, from the reducer's lost set on the intent path or the
-        // `release_lost` flag scan on the reference path. Same set, same
-        // ascending-id order, by construction.
-        let lost: Vec<WakelockId> = match self.lifecycle.as_ref() {
-            Some(core) => core.reducer.lost_releases(),
-            None => self
-                .wakelocks
-                .values()
-                .filter(|lock| lock.release_lost)
-                .map(|lock| lock.id)
-                .collect(),
-        };
+        // The reconciler's work list: the reducer's desired-released but
+        // observed-held locks, in ascending id order.
+        let lost = self.lifecycle.reducer.lost_releases();
         let mut released = false;
-        if let Some(core) = self.lifecycle.as_mut() {
-            core.sweeping = true;
-        }
+        self.lifecycle.sweeping = true;
         for id in lost {
             released |= self.finish_release(id, false, Some("wakelock_release_lost"));
         }
-        if let Some(core) = self.lifecycle.as_mut() {
-            core.sweeping = false;
-        }
+        self.lifecycle.sweeping = false;
         if released {
             self.recompute_demands();
         }
@@ -1805,15 +1787,13 @@ impl AndroidSystem {
         });
     }
 
-    /// Reducer-path intent derivation: every lifecycle transition an
-    /// event announces is appended to the intent log (with its resolved
-    /// [`Cause`]) and folded into the desired-state reducer, regardless
-    /// of whether scenario event recording is on. No-op (one branch) on
-    /// the reference path and for non-lifecycle events.
+    /// Intent derivation: every lifecycle transition an event announces
+    /// is appended to the intent log (with its resolved [`Cause`]) and
+    /// folded into the desired-state reducer, regardless of whether
+    /// scenario event recording is on. No-op (one branch) for
+    /// non-lifecycle events.
     fn observe_intent(&mut self, event: &FrameworkEvent) {
-        let Some(core) = self.lifecycle.as_mut() else {
-            return;
-        };
+        let core = &mut self.lifecycle;
         let Some(op) = LifecycleOp::from_event(event) else {
             return;
         };
@@ -1829,9 +1809,7 @@ impl AndroidSystem {
     /// perturbed transition emits no framework event (that is the point
     /// of the fault), so the log is the only audited record of it.
     fn record_perturbation(&mut self, op: LifecycleOp) {
-        let Some(core) = self.lifecycle.as_mut() else {
-            return;
-        };
+        let core = &mut self.lifecycle;
         let intent = core.log.append(self.clock.now(), Cause::Fault, op);
         core.reducer.apply(&intent);
         if let Some(recorder) = &core.recorder {
@@ -1868,84 +1846,38 @@ impl AndroidSystem {
         self.faults = Some(Box::new(faults));
     }
 
-    /// Selects the timer-queue backend: the calendar queue (default) or
-    /// the reference `BinaryHeap` oracle. Pending timers carry over in pop
-    /// order, so the switch is observationally a no-op — the golden tests
-    /// assert byte-identical runs across both backends.
-    pub fn set_reference_scheduler(&mut self, reference: bool) {
-        if self.deferred_death_locks.is_reference() == reference {
-            return;
-        }
-        let mut queue = EventQueue::with_backend(reference);
-        while let Some(event) = self.deferred_death_locks.pop_next() {
-            queue.schedule(event.at, event.payload);
-        }
-        self.deferred_death_locks = queue;
-    }
-
-    /// Whether the timer queue runs on the reference heap backend.
-    pub fn is_reference_scheduler(&self) -> bool {
-        self.deferred_death_locks.is_reference()
-    }
-
-    /// Selects the lifecycle backend: the reducer/intent-log core (the
-    /// default) or the pre-split imperative reference path. Intent
-    /// recording is pure observation — both paths run identical
-    /// mutation, event, and RNG code — so the switch is observationally
-    /// a no-op; the golden tests assert byte-identical runs across both.
-    /// Switching to the reference path drops any accumulated log.
-    pub fn set_reference_lifecycle(&mut self, reference: bool) {
-        if reference {
-            self.lifecycle = None;
-        } else if self.lifecycle.is_none() {
-            self.lifecycle = Some(Box::new(LifecycleCore::new()));
-        }
-    }
-
-    /// Whether lifecycle handling runs on the imperative reference path.
-    pub fn is_reference_lifecycle(&self) -> bool {
-        self.lifecycle.is_none()
-    }
-
     /// Shares the fleet supervisor's intent-log mirror: every intent the
     /// reducer records is also appended to `recorder`, which survives a
     /// panicking device attempt and becomes the `DeviceFailure` log
-    /// tail. No-op on the reference path.
+    /// tail.
     pub fn set_intent_recorder(&mut self, recorder: Arc<IntentLogRecorder>) {
-        if let Some(core) = self.lifecycle.as_mut() {
-            core.recorder = Some(recorder);
-        }
+        self.lifecycle.recorder = Some(recorder);
     }
 
     /// Sets the scripted cause framing for subsequent transitions
     /// (`Cause::Attack` while an attack vector fires, `Cause::Routine`
     /// for benign background scripts). `None` restores event-intrinsic
-    /// causes. No-op on the reference path.
+    /// causes.
     pub fn set_ambient_cause(&mut self, cause: Option<Cause>) {
-        if let Some(core) = self.lifecycle.as_mut() {
-            core.ambient = cause;
-        }
+        self.lifecycle.ambient = cause;
     }
 
-    /// Snapshots the device's intent log, when the reducer path is on.
-    pub fn intent_log(&self) -> Option<IntentLogDump> {
-        self.lifecycle.as_ref().map(|core| core.log.dump())
+    /// Snapshots the device's intent log.
+    pub fn intent_log(&self) -> IntentLogDump {
+        self.lifecycle.log.dump()
     }
 
-    /// Read-only access to the desired-state reducer, when on.
-    pub fn lifecycle_reducer(&self) -> Option<&LifecycleReducer> {
-        self.lifecycle.as_deref().map(|core| &core.reducer)
+    /// Read-only access to the desired-state reducer.
+    pub fn lifecycle_reducer(&self) -> &LifecycleReducer {
+        &self.lifecycle.reducer
     }
 
     /// Where observed runtime state diverges from the reducer's desired
     /// state. Expected entries are exactly the in-flight convergences —
     /// lost releases awaiting their sweep and deferred death
-    /// notifications; anything else is a framework bug. Empty on the
-    /// reference path.
+    /// notifications; anything else is a framework bug.
     pub fn lifecycle_divergence(&self) -> Vec<String> {
-        let Some(core) = self.lifecycle.as_ref() else {
-            return Vec::new();
-        };
+        let core = &self.lifecycle;
         let mut out = Vec::new();
         for lock in self.wakelocks.values() {
             if !core.reducer.wants_held(lock.id) {

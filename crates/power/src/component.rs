@@ -36,20 +36,6 @@ impl Component {
         Component::Audio,
     ];
 
-    /// This component's position in [`Component::ALL`], as a dense array
-    /// index for flat per-component accumulators.
-    pub fn index(self) -> usize {
-        match self {
-            Component::Cpu => 0,
-            Component::Screen => 1,
-            Component::Wifi => 2,
-            Component::Cellular => 3,
-            Component::Gps => 4,
-            Component::Camera => 5,
-            Component::Audio => 6,
-        }
-    }
-
     /// A short lowercase label for tables and JSON keys.
     pub fn label(self) -> &'static str {
         match self {

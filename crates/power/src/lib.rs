@@ -63,7 +63,6 @@ mod component;
 mod cpu;
 mod energy;
 mod gps;
-mod lanes;
 mod model;
 mod screen;
 mod usage;
@@ -79,7 +78,6 @@ pub use component::Component;
 pub use cpu::CpuModel;
 pub use energy::Energy;
 pub use gps::GpsModel;
-pub use lanes::PowerLanes;
 pub use model::{ComponentDraw, DevicePowerModel, UsageShare};
 pub use screen::ScreenModel;
 pub use usage::{CameraUse, CpuUse, DeviceUsage, RadioUse, ScreenUsage};

@@ -260,7 +260,7 @@ impl DevicePowerModel {
     }
 }
 
-pub(crate) fn fill_equal_shares(uids: &[Uid], out: &mut Vec<UsageShare>) {
+fn fill_equal_shares(uids: &[Uid], out: &mut Vec<UsageShare>) {
     if uids.is_empty() {
         return;
     }

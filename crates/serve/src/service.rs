@@ -225,14 +225,6 @@ pub fn run_serve(
                 let mut tally = Supervision::default();
                 let flight = (fleet.flight_recorder > 0)
                     .then(|| Arc::new(FlightRecorder::new(fleet.flight_recorder)));
-                // One intent-log mirror per lane, reset per attempt by the
-                // shared supervisor — crashed devices stream their replay
-                // bundle through `LaneEvent::Crashed` like the batch path.
-                let intents = (!fleet.reference_lifecycle).then(|| {
-                    Arc::new(ea_framework::IntentLogRecorder::new(
-                        ea_framework::INTENT_LOG_CAPACITY,
-                    ))
-                });
                 for index in (lane_id..size).step_by(lanes) {
                     if producer.push(LaneEvent::Join { index }).is_err() {
                         break; // shard worker died: lane can never drain
@@ -245,7 +237,6 @@ pub fn run_serve(
                         flight: flight.as_ref(),
                         observatory: Some(observatory),
                         on_checkpoint: Some(&on_checkpoint),
-                        intents: intents.as_ref(),
                     };
                     let outcome = ea_fleet::supervise::supervise_device(
                         fleet, corpus, index, &mut tally, &hooks,

@@ -5,22 +5,13 @@
 //! simulation deterministic: two runs with the same seed schedule the same
 //! events and observe them in the same order.
 //!
-//! Two interchangeable backends honour that contract:
-//!
-//! * the default [calendar queue](crate::event::EventQueue::new) — a
-//!   bucketed ring indexed by sim tick, O(1) amortized for the
-//!   near-future-heavy schedules simulated devices generate;
-//! * the [reference heap](EventQueue::reference) — the original
-//!   `BinaryHeap`, kept as the selectable oracle the property tests and
-//!   the `--reference-scheduler` flag compare against.
-//!
-//! Both pop in strict `(at, seq)` order; the golden and property suites
-//! assert the backends agree event for event.
+//! The backing store is a `BinaryHeap` keyed on `(at, seq)`. Its only
+//! production user, the framework's deferred binder death notices, holds a
+//! handful of entries and is empty unless a fault plan is attached.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::CalendarQueue;
 use crate::SimTime;
 
 /// An event that has been scheduled for a specific instant.
@@ -58,11 +49,6 @@ impl<T> Ord for HeapEntry<T> {
     }
 }
 
-enum Backend<T> {
-    Calendar(CalendarQueue<T>),
-    Reference(BinaryHeap<HeapEntry<T>>),
-}
-
 /// A priority queue of timed events with deterministic ordering.
 ///
 /// # Example
@@ -77,7 +63,7 @@ enum Backend<T> {
 /// assert_eq!(queue.pop_next().unwrap().payload, "early");
 /// ```
 pub struct EventQueue<T> {
-    backend: Backend<T>,
+    heap: BinaryHeap<HeapEntry<T>>,
     next_seq: u64,
 }
 
@@ -88,72 +74,36 @@ impl<T> Default for EventQueue<T> {
 }
 
 impl<T> EventQueue<T> {
-    /// Creates an empty queue on the default calendar-queue backend.
+    /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            backend: Backend::Calendar(CalendarQueue::new()),
+            heap: BinaryHeap::new(),
             next_seq: 0,
         }
-    }
-
-    /// Creates an empty queue on the reference `BinaryHeap` backend — the
-    /// pre-optimization oracle the calendar queue is validated against.
-    pub fn reference() -> Self {
-        EventQueue {
-            backend: Backend::Reference(BinaryHeap::new()),
-            next_seq: 0,
-        }
-    }
-
-    /// Creates an empty queue, choosing the backend by flag: the calendar
-    /// queue by default, the reference heap when `reference` is set.
-    pub fn with_backend(reference: bool) -> Self {
-        if reference {
-            EventQueue::reference()
-        } else {
-            EventQueue::new()
-        }
-    }
-
-    /// Whether this queue runs on the reference heap backend.
-    pub fn is_reference(&self) -> bool {
-        matches!(self.backend, Backend::Reference(_))
     }
 
     /// Schedules `payload` to fire at `at` and returns its sequence number.
     pub fn schedule(&mut self, at: SimTime, payload: T) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let event = ScheduledEvent { at, seq, payload };
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.schedule(event),
-            Backend::Reference(heap) => heap.push(HeapEntry(event)),
-        }
+        self.heap
+            .push(HeapEntry(ScheduledEvent { at, seq, payload }));
         seq
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop_next(&mut self) -> Option<ScheduledEvent<T>> {
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.pop_next(),
-            Backend::Reference(heap) => heap.pop().map(|entry| entry.0),
-        }
+        self.heap.pop().map(|entry| entry.0)
     }
 
     /// The timestamp of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.peek_time(),
-            Backend::Reference(heap) => heap.peek().map(|entry| entry.0.at),
-        }
+        self.heap.peek().map(|entry| entry.0.at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Calendar(calendar) => calendar.len(),
-            Backend::Reference(heap) => heap.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
@@ -163,10 +113,7 @@ impl<T> EventQueue<T> {
 
     /// Removes every pending event.
     pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Calendar(calendar) => calendar.clear(),
-            Backend::Reference(heap) => heap.clear(),
-        }
+        self.heap.clear();
     }
 }
 
@@ -175,7 +122,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for EventQueue<T> {
         f.debug_struct("EventQueue")
             .field("pending", &self.len())
             .field("next_seq", &self.next_seq)
-            .field("reference", &self.is_reference())
             .finish()
     }
 }
@@ -184,89 +130,54 @@ impl<T: std::fmt::Debug> std::fmt::Debug for EventQueue<T> {
 mod tests {
     use super::*;
 
-    fn both_backends() -> [EventQueue<i32>; 2] {
-        [EventQueue::new(), EventQueue::reference()]
-    }
-
     #[test]
     fn orders_by_time() {
-        for mut queue in both_backends() {
-            queue.schedule(SimTime::from_millis(30), 3);
-            queue.schedule(SimTime::from_millis(10), 1);
-            queue.schedule(SimTime::from_millis(20), 2);
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::from_millis(30), 3);
+        queue.schedule(SimTime::from_millis(10), 1);
+        queue.schedule(SimTime::from_millis(20), 2);
 
-            let order: Vec<i32> = std::iter::from_fn(|| queue.pop_next())
-                .map(|event| event.payload)
-                .collect();
-            assert_eq!(order, [1, 2, 3]);
-        }
+        let order: Vec<i32> = std::iter::from_fn(|| queue.pop_next())
+            .map(|event| event.payload)
+            .collect();
+        assert_eq!(order, [1, 2, 3]);
     }
 
     #[test]
     fn fifo_among_equal_times() {
-        for mut queue in both_backends() {
-            queue.clear();
-            for i in 0..100 {
-                queue.schedule(SimTime::from_secs(1), i);
-            }
-            let order: Vec<i32> = std::iter::from_fn(|| queue.pop_next())
-                .map(|event| event.payload)
-                .collect();
-            let expected: Vec<i32> = (0..100).collect();
-            assert_eq!(order, expected);
+        let mut queue = EventQueue::new();
+        for i in 0..100 {
+            queue.schedule(SimTime::from_secs(1), i);
         }
+        let order: Vec<i32> = std::iter::from_fn(|| queue.pop_next())
+            .map(|event| event.payload)
+            .collect();
+        let expected: Vec<i32> = (0..100).collect();
+        assert_eq!(order, expected);
     }
 
     #[test]
     fn peek_does_not_consume() {
-        for mut queue in both_backends() {
-            queue.schedule(SimTime::from_secs(7), 0);
-            assert_eq!(queue.peek_time(), Some(SimTime::from_secs(7)));
-            assert_eq!(queue.len(), 1);
-        }
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::from_secs(7), 0);
+        assert_eq!(queue.peek_time(), Some(SimTime::from_secs(7)));
+        assert_eq!(queue.len(), 1);
     }
 
     #[test]
     fn clear_empties_the_queue() {
-        for mut queue in both_backends() {
-            queue.schedule(SimTime::ZERO, 0);
-            queue.clear();
-            assert!(queue.is_empty());
-            assert!(queue.pop_next().is_none());
-        }
+        let mut queue = EventQueue::new();
+        queue.schedule(SimTime::ZERO, 0);
+        queue.clear();
+        assert!(queue.is_empty());
+        assert!(queue.pop_next().is_none());
     }
 
     #[test]
     fn sequence_numbers_are_unique_and_increasing() {
-        for mut queue in both_backends() {
-            let a = queue.schedule(SimTime::ZERO, 0);
-            let b = queue.schedule(SimTime::ZERO, 0);
-            assert!(b > a);
-        }
-    }
-
-    #[test]
-    fn backends_agree_under_interleaved_schedule_and_pop() {
-        let mut calendar = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        assert!(!calendar.is_reference());
-        assert!(heap.is_reference());
-        // A deterministic schedule/pop interleaving with ties, far-future
-        // spikes, and re-scheduling into the past after pops.
-        let times = [40u64, 40, 17_000, 3, 3, 3, 900, 40, 120_000, 55, 2, 2];
-        for (round, &at) in times.iter().enumerate() {
-            calendar.schedule(SimTime::from_millis(at), round);
-            heap.schedule(SimTime::from_millis(at), round);
-            if round % 3 == 2 {
-                assert_eq!(calendar.pop_next(), heap.pop_next());
-            }
-        }
-        loop {
-            let (a, b) = (calendar.pop_next(), heap.pop_next());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
+        let mut queue = EventQueue::new();
+        let a = queue.schedule(SimTime::ZERO, 0);
+        let b = queue.schedule(SimTime::ZERO, 0);
+        assert!(b > a);
     }
 }

@@ -45,7 +45,6 @@
 #![warn(missing_docs)]
 
 mod binder;
-mod calendar;
 mod clock;
 mod error;
 mod event;

@@ -25,59 +25,6 @@ proptest! {
     }
 
     #[test]
-    fn calendar_queue_matches_heap_pop_for_pop(
-        // Times mix dense near-future ties (0..2_000 ms collides within
-        // buckets), multi-revolution gaps, and far-future overflow spikes.
-        times in proptest::collection::vec(
-            prop_oneof![0u64..2_000, 0u64..60_000, 0u64..10_000_000],
-            1..300,
-        ),
-        // After each schedule, pop this many events from both backends.
-        pops in proptest::collection::vec(0usize..3, 1..300),
-    ) {
-        let mut calendar = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        for (index, &time) in times.iter().enumerate() {
-            let at = SimTime::from_millis(time);
-            prop_assert_eq!(calendar.schedule(at, index), heap.schedule(at, index));
-            for _ in 0..pops.get(index).copied().unwrap_or(0) {
-                prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-                let (a, b) = (calendar.pop_next(), heap.pop_next());
-                prop_assert_eq!(a, b, "interleaved pop diverged at schedule {}", index);
-            }
-            prop_assert_eq!(calendar.len(), heap.len());
-        }
-        loop {
-            prop_assert_eq!(calendar.peek_time(), heap.peek_time());
-            let (a, b) = (calendar.pop_next(), heap.pop_next());
-            prop_assert_eq!(a.clone(), b, "drain diverged");
-            if a.is_none() {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn calendar_queue_preserves_fifo_among_same_instant_bursts(
-        instants in proptest::collection::vec(0u64..500, 1..40),
-        burst in 1usize..20,
-    ) {
-        let mut calendar = EventQueue::new();
-        let mut heap = EventQueue::reference();
-        for &instant in &instants {
-            for copy in 0..burst {
-                let at = SimTime::from_millis(instant);
-                calendar.schedule(at, copy);
-                heap.schedule(at, copy);
-            }
-        }
-        while let Some(expected) = heap.pop_next() {
-            prop_assert_eq!(calendar.pop_next(), Some(expected));
-        }
-        prop_assert!(calendar.pop_next().is_none());
-    }
-
-    #[test]
     fn scheduler_never_exceeds_capacity_and_is_proportional(
         demands in proptest::collection::vec(0.0f64..2.0, 1..20),
         cores in 0.5f64..8.0

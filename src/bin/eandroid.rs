@@ -7,7 +7,7 @@
 //! eandroid micro [--runs N]
 //! eandroid antutu
 //! eandroid workload [--seed N] [--sessions N]
-//! eandroid fleet [--size N] [--seed N] [--jobs J] [--json] [--trace <base>] [--faults <rate|plan.json>] [--watch] [--heartbeat <path>] [--flight-recorder N] [--batch-kernel on|off] [--reference-scheduler] [--reference-lifecycle]
+//! eandroid fleet [--size N] [--seed N] [--jobs J] [--json] [--trace <base>] [--faults <rate|plan.json>] [--watch] [--heartbeat <path>] [--flight-recorder N]
 //! eandroid replay <report.json> [--healthy N] [--json]
 //! eandroid metrics [--size N] [--seed N] [--jobs J] [--json]
 //! eandroid serve [--size N] [--seed N] [--lanes L] [--socket <path>] [--hold] [--json] [--watch] [--heartbeat <path>]
@@ -51,8 +51,6 @@ COMMANDS:
         --detect                   also print the collateral-bug report
         --faults <rate|plan.json>  inject seeded faults (DESIGN.md \u{a7}11)
         --fault-seed N             fault-plan seed (default 2026)
-        --reference-lifecycle      pre-reducer imperative lifecycle path
-                                   (oracle path, same bytes)
     depletion [<case>|all]  replay the Figure 3 battery race
         --cap-hours N              stop after N simulated hours (default 24)
     corpus                  generate + analyze the Figure 2 corpus
@@ -84,13 +82,6 @@ COMMANDS:
         --heartbeat <path>         write JSONL health snapshots to <path>
         --flight-recorder N        keep the last N telemetry events per device,
                                    dumped into the report on device abandonment
-        --batch-kernel on|off      struct-of-arrays power kernel (default on;
-                                   off = per-device model structs, same bytes)
-        --reference-scheduler      binary-heap event queue instead of the
-                                   calendar queue (oracle path, same bytes)
-        --reference-lifecycle      imperative lifecycle path without the
-                                   intent log (oracle path, same bytes;
-                                   crashed devices carry no replay bundle)
     replay <report.json>    re-execute every failure recorded in a fleet
                             report and verify it reproduces exactly
         --healthy N                also re-simulate N completed devices
@@ -237,9 +228,6 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
             profiler = profiler.with_routine_accounting();
         }
         let mut android = AndroidSystem::new();
-        if has_flag(args, "--reference-lifecycle") {
-            android.set_reference_lifecycle(true);
-        }
         let run = match &faults {
             Some(plan) => {
                 // Lanes follow the scenario's position in `Scenario::ALL`
@@ -456,21 +444,6 @@ fn parse_fleet_config(command: &str, args: &[&str]) -> Result<FleetConfig, Strin
             Ok(plan) => config.faults = Some(plan),
             Err(message) => return Err(format!("{command}: {message}")),
         }
-    }
-    match flag_value(args, "--batch-kernel") {
-        None | Some("on") => config.batch_kernel = true,
-        Some("off") => config.batch_kernel = false,
-        Some(other) => {
-            return Err(format!(
-                "{command}: --batch-kernel expects on|off, got {other}"
-            ))
-        }
-    }
-    if has_flag(args, "--reference-scheduler") {
-        config.reference_scheduler = true;
-    }
-    if has_flag(args, "--reference-lifecycle") {
-        config.reference_lifecycle = true;
     }
     Ok(config)
 }

@@ -9,10 +9,6 @@
 //! * `day_in_the_life` — a scripted multi-session device day, end to end;
 //! * `fleet_shard` — `ea_fleet` shards at 4 and 64 devices, devices/sec.
 //!
-//! A `serve_ingest` pair measures the streaming service's SPSC ingest
-//! lane: events/sec through one ring (in 64-event batched slices, the
-//! service's shape), against a shared `Mutex<VecDeque>` baseline.
-//!
 //! A fourth pair (`telemetry/*`) measures the sink-off fast path: a
 //! profiler with no [`SinkHandle`] attached must cost the same as one
 //! that never heard of telemetry, and the sink-on overhead is recorded.
@@ -186,103 +182,6 @@ fn bench_fleet_shard(c: &mut Criterion) {
     group.finish();
 }
 
-/// Events pushed through one ingest lane per timed transfer.
-const INGEST_EVENTS: usize = 16_384;
-
-/// Capacity of both lanes under test — the ring's ring size (the
-/// `ea-serve` default), and the bound the mutex baseline's producer
-/// respects. An unbounded baseline would be a different data structure
-/// (no backpressure, unbounded memory), not a fair one.
-const INGEST_CAPACITY: usize = 1024;
-
-/// Events per batched ring call — the burst size `ea-serve`'s service
-/// loop uses for its ingest lanes.
-const INGEST_BURST: usize = 64;
-
-/// Cross-thread throughput of one SPSC ingest lane (the `ea-serve` ring)
-/// against the obvious baseline — a shared, bounded `Mutex<VecDeque>`
-/// with both sides spinning on the one lock. Each iteration moves
-/// [`INGEST_EVENTS`] join events producer-to-consumer, including the
-/// consumer-thread spawn. The ring side transfers in [`INGEST_BURST`]
-/// slices (`push_slice`/`recv_slice`), the shape the service actually
-/// runs: one tail store and one head store per burst instead of per
-/// event.
-fn bench_serve_ingest(c: &mut Criterion) {
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    use ea_serve::LaneEvent;
-
-    let mut group = c.benchmark_group("serve_ingest");
-    group.bench_with_input(BenchmarkId::new("events_16384", "ring"), &(), |b, ()| {
-        b.iter(|| {
-            let (producer, consumer) = ea_serve::ring::lane::<LaneEvent>(INGEST_CAPACITY);
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    let mut received = 0usize;
-                    let mut burst = Vec::with_capacity(INGEST_BURST);
-                    loop {
-                        let got = consumer.recv_slice(&mut burst, INGEST_BURST);
-                        if got == 0 {
-                            break;
-                        }
-                        received += got;
-                        burst.clear();
-                    }
-                    received
-                });
-                let mut staged = Vec::with_capacity(INGEST_BURST);
-                for index in 0..INGEST_EVENTS {
-                    staged.push(LaneEvent::Join { index });
-                    if staged.len() == INGEST_BURST {
-                        let _ = producer.push_slice(&mut staged);
-                    }
-                }
-                let _ = producer.push_slice(&mut staged);
-                drop(producer);
-                worker.join().unwrap_or(0)
-            })
-        });
-    });
-    group.bench_with_input(BenchmarkId::new("events_16384", "mutex"), &(), |b, ()| {
-        b.iter(|| {
-            let queue: Mutex<VecDeque<LaneEvent>> = Mutex::new(VecDeque::new());
-            let queue = &queue;
-            std::thread::scope(|scope| {
-                let worker = scope.spawn(move || {
-                    let mut received = 0usize;
-                    while received < INGEST_EVENTS {
-                        let popped = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop_front();
-                        match popped {
-                            Some(_) => received += 1,
-                            None => std::thread::yield_now(),
-                        }
-                    }
-                    received
-                });
-                for index in 0..INGEST_EVENTS {
-                    loop {
-                        let mut guard = queue
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        if guard.len() < INGEST_CAPACITY {
-                            guard.push_back(LaneEvent::Join { index });
-                            break;
-                        }
-                        drop(guard);
-                        std::thread::yield_now();
-                    }
-                }
-                worker.join().unwrap_or(0)
-            })
-        });
-    });
-    group.finish();
-}
-
 fn bench_telemetry(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry");
     for (label, sink_on) in [("sink_off", false), ("sink_on", true)] {
@@ -314,7 +213,6 @@ struct SpeedupSection {
     day_in_the_life: f64,
     fleet_shard: f64,
     fleet_shard_64: f64,
-    serve_ingest: f64,
     target_single_step: f64,
     single_step_meets_target: bool,
 }
@@ -340,22 +238,12 @@ struct MetricsSection {
 }
 
 #[derive(Serialize)]
-struct ServeSection {
-    /// One 16384-event ring transfer, consumer-thread spawn included.
-    ring_transfer_ns: f64,
-    mutex_transfer_ns: f64,
-    ring_events_per_sec: f64,
-    mutex_events_per_sec: f64,
-}
-
-#[derive(Serialize)]
 struct HotloopReport {
     schema: &'static str,
     benches: Vec<BenchEntry>,
     speedup: SpeedupSection,
     telemetry: TelemetrySection,
     metrics: MetricsSection,
-    serve: ServeSection,
 }
 
 /// The label's best (minimum) mean across repeat rounds.
@@ -381,7 +269,6 @@ fn main() {
         bench_single_step(&mut criterion);
         bench_day_in_the_life(&mut criterion);
         bench_fleet_shard(&mut criterion);
-        bench_serve_ingest(&mut criterion);
         bench_telemetry(&mut criterion);
     }
 
@@ -402,8 +289,6 @@ fn main() {
     let fleet_ref = mean_of(&measurements, "fleet_shard/devices_4/reference");
     let fleet64_opt = mean_of(&measurements, "fleet_shard/devices_64/optimized");
     let fleet64_ref = mean_of(&measurements, "fleet_shard/devices_64/reference");
-    let ingest_ring = mean_of(&measurements, "serve_ingest/events_16384/ring");
-    let ingest_mutex = mean_of(&measurements, "serve_ingest/events_16384/mutex");
     let sink_off = mean_of(&measurements, "telemetry/step/sink_off");
     let sink_on = mean_of(&measurements, "telemetry/step/sink_on");
     let metrics_on = mean_of(&measurements, "single_step/step/metrics_on");
@@ -413,7 +298,6 @@ fn main() {
         day_in_the_life: day_ref / day_opt,
         fleet_shard: fleet_ref / fleet_opt,
         fleet_shard_64: fleet64_ref / fleet64_opt,
-        serve_ingest: ingest_mutex / ingest_ring,
         target_single_step: TARGET_SINGLE_STEP_SPEEDUP,
         single_step_meets_target: step_ref / step_opt >= TARGET_SINGLE_STEP_SPEEDUP,
     };
@@ -426,18 +310,6 @@ fn main() {
     println!(
         "\nspeedup (reference / optimized): single_step {:.2}x | day {:.2}x | fleet {:.2}x | fleet64 {:.2}x",
         speedup.single_step, speedup.day_in_the_life, speedup.fleet_shard, speedup.fleet_shard_64
-    );
-    let serve = ServeSection {
-        ring_transfer_ns: ingest_ring,
-        mutex_transfer_ns: ingest_mutex,
-        ring_events_per_sec: INGEST_EVENTS as f64 / (ingest_ring * 1e-9),
-        mutex_events_per_sec: INGEST_EVENTS as f64 / (ingest_mutex * 1e-9),
-    };
-    println!(
-        "serve ingest: ring {:.2}M events/s | mutex {:.2}M events/s | {:.2}x",
-        serve.ring_events_per_sec / 1e6,
-        serve.mutex_events_per_sec / 1e6,
-        speedup.serve_ingest
     );
     let metrics = MetricsSection {
         metrics_on_ns: metrics_on,
@@ -474,7 +346,6 @@ fn main() {
         speedup,
         telemetry,
         metrics,
-        serve,
     };
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hotloop.json");
     let json = serde_json::to_string_pretty(&report).expect("serialize report");

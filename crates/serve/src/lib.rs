@@ -9,7 +9,7 @@
 //!
 //! A long-running streaming front end to the `ea-fleet` simulator:
 //! simulated devices stream join/checkpoint/outcome events through
-//! per-core sharded ingest lanes (bounded SPSC rings) into an
+//! per-core sharded ingest lanes (bounded channels) into an
 //! incrementally-maintained fleet view — windowed attack-kind
 //! prevalence, per-kind collateral energy, streaming drain quantiles —
 //! queryable mid-run over a local Unix socket with a line-delimited

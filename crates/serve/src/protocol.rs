@@ -13,7 +13,7 @@ pub const PONG_SCHEMA: &str = "ea-serve/pong/v1";
 
 /// One event on an ingest lane, emitted by a device-driver thread and
 /// consumed by its shard worker. Boxed payloads keep the enum (and so
-/// every ring slot) small: most events are a tag plus an index.
+/// every lane slot) small: most events are a tag plus an index.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum LaneEvent {
     /// A device came online and started its simulated day.

@@ -1,120 +1,19 @@
-//! A bounded single-producer/single-consumer ring: the ingest lane
-//! between one device-driver thread and one shard worker.
+//! The ingest lane between one device-driver thread and one shard
+//! worker: a bounded [`std::sync::mpsc::sync_channel`]. A full lane
+//! parks the producer and an empty one parks the consumer, both on a
+//! futex, so neither side spins.
 //!
-//! The index arithmetic is the classic lock-free SPSC scheme — two
-//! monotonically increasing counters, `tail` advanced only by the
-//! producer and `head` only by the consumer, so neither side ever
-//! contends on the other's counter. Each counter lives on its own
-//! cache line, and each handle caches its last view of the *other*
-//! side's counter, reloading only when the ring looks full (producer)
-//! or empty (consumer) — the steady state runs without cross-core
-//! traffic on the indices. The workspace forbids `unsafe`, so slots
-//! live behind mutexes instead of `UnsafeCell`s — but *chunked*, 64
-//! contiguous slots per lock, not one lock per slot: a batched
-//! transfer ([`Producer::push_slice`] / [`Consumer::pop_slice`])
-//! acquires one uncontended lock per chunk segment instead of one per
-//! item, and the contiguous slot storage keeps the working set at
-//! `capacity * size_of::<Option<T>>()` rather than a full cache line
-//! per slot. The index protocol guarantees the producer only writes
-//! slots in `tail..head+capacity` and the consumer only reads slots in
-//! `head..tail`, so the two sides touch disjoint *elements*; they can
-//! briefly share the one chunk straddling the head/tail boundary, and
-//! the chunk mutex serializes exactly that case.
-//!
-//! Backpressure is blocking, not lossy: a full ring parks the producer
-//! until the consumer frees a slot. The service's conservation
-//! invariant ("a completed checkpoint is never dropped") is enforced
-//! right here — there is no code path that discards an event.
+//! Backpressure is blocking, not lossy. The service's conservation
+//! invariant ("a completed checkpoint is never dropped") holds because
+//! no code path here discards an event while the consumer is alive.
 
-use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 
-/// Pads an atomic counter to its own cache line. `head` and `tail` are
-/// each written by exactly one side at high rate; sharing a line would
-/// ping-pong it between the two cores on every operation.
-#[derive(Debug)]
-#[repr(align(64))]
-struct CachePadded<T>(T);
-
-/// Slots per chunk mutex: the lock-acquisition granularity of batched
-/// transfers. Lanes smaller than this get one chunk spanning the whole
-/// ring.
-const SLOTS_PER_CHUNK: usize = 64;
-
-/// One lock-protected chunk of contiguous slots.
-type Chunk<T> = Mutex<Box<[Option<T>]>>;
-
-/// Shared state of one lane.
-#[derive(Debug)]
-struct Shared<T> {
-    /// Slot `s & mask` holds sequence number `s`; slot `i` lives at
-    /// `chunks[i / chunk_size][i % chunk_size]` (both powers of two, so
-    /// the split is a shift and a mask). Each chunk is line-padded so
-    /// neighbouring chunk *locks* never false-share; the slots inside
-    /// stay contiguous.
-    chunks: Box<[CachePadded<Chunk<T>>]>,
-    /// Slots per chunk; `capacity / chunks.len()`. Power of two.
-    chunk_size: usize,
-    /// `capacity - 1`; capacity is rounded up to a power of two so the
-    /// per-event slot index is a mask, not an integer division.
-    mask: usize,
-    /// Next sequence number the consumer will read. Monotone.
-    head: CachePadded<AtomicUsize>,
-    /// Next sequence number the producer will write. Monotone.
-    tail: CachePadded<AtomicUsize>,
-    /// Set when the producer handle drops: no more items will arrive.
-    closed: AtomicBool,
-    /// Set when the consumer handle drops: pushes can never complete.
-    abandoned: AtomicBool,
-}
-
-/// Creates a bounded SPSC lane of at least `capacity` slots (rounded up
-/// to the next power of two, minimum 1).
+/// Creates a bounded lane buffering up to `capacity` items (minimum 1).
 #[must_use]
 pub fn lane<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
-    let capacity = capacity.max(1).next_power_of_two();
-    let chunk_size = capacity.min(SLOTS_PER_CHUNK);
-    let shared = Arc::new(Shared {
-        chunks: (0..capacity / chunk_size)
-            .map(|_| CachePadded(Mutex::new((0..chunk_size).map(|_| None).collect())))
-            .collect(),
-        chunk_size,
-        mask: capacity - 1,
-        head: CachePadded(AtomicUsize::new(0)),
-        tail: CachePadded(AtomicUsize::new(0)),
-        closed: AtomicBool::new(false),
-        abandoned: AtomicBool::new(false),
-    });
-    (
-        Producer {
-            shared: Arc::clone(&shared),
-            head_cache: Cell::new(0),
-        },
-        Consumer {
-            shared,
-            tail_cache: Cell::new(0),
-        },
-    )
-}
-
-impl<T> Shared<T> {
-    /// Chunk index and offset-within-chunk holding sequence number
-    /// `seq`. Both divisors are powers of two — a shift and a mask.
-    fn locate(&self, seq: usize) -> (usize, usize) {
-        let slot = seq & self.mask;
-        (slot / self.chunk_size, slot % self.chunk_size)
-    }
-}
-
-/// Recovers a chunk's contents from a poisoned lock. A chunk mutex is
-/// only ever held across plain `Option` reads and writes, which cannot
-/// panic, so poison here means some *other* thread died while parked on
-/// an unrelated chunk — the stored values are still intact.
-fn chunk_guard<T>(chunk: &Chunk<T>) -> std::sync::MutexGuard<'_, Box<[Option<T>]>> {
-    chunk
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    let (sender, receiver) = sync_channel(capacity.max(1));
+    (Producer { sender }, Consumer { receiver })
 }
 
 /// The write half of a lane, owned by one device-driver thread.
@@ -122,250 +21,50 @@ fn chunk_guard<T>(chunk: &Chunk<T>) -> std::sync::MutexGuard<'_, Box<[Option<T>]
 /// then sees end-of-stream.
 #[derive(Debug)]
 pub struct Producer<T> {
-    shared: Arc<Shared<T>>,
-    /// Last `head` value observed — reloaded from shared state only when
-    /// the ring *looks* full, so the steady-state push never touches the
-    /// consumer's cache line. (`Cell` makes the handle `!Sync`, which is
-    /// exactly the single-producer contract.)
-    head_cache: Cell<usize>,
+    sender: SyncSender<T>,
 }
 
 impl<T> Producer<T> {
-    /// Appends `item`, blocking while the ring is full. Returns the item
-    /// back as `Err` only if the consumer is gone, in which case the
-    /// lane can never drain.
+    /// Appends `item`, blocking while the lane is full. Returns the item
+    /// back as `Err` only if the consumer is gone.
     pub fn push(&self, item: T) -> Result<(), T> {
-        let shared = &self.shared;
-        let capacity = shared.mask + 1;
-        let seq = shared.tail.0.load(Ordering::Relaxed);
-        if seq - self.head_cache.get() >= capacity {
-            let mut spins = 0u32;
-            loop {
-                let head = shared.head.0.load(Ordering::Acquire);
-                self.head_cache.set(head);
-                if seq - head < capacity {
-                    break;
-                }
-                if shared.abandoned.load(Ordering::Acquire) {
-                    return Err(item);
-                }
-                // Short spin first (the consumer is usually one slot
-                // away), then yield so a busy box still makes progress.
-                spins += 1;
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-        let (chunk, within) = shared.locate(seq);
-        chunk_guard(&shared.chunks[chunk].0)[within] = Some(item);
-        shared.tail.0.store(seq + 1, Ordering::Release);
-        Ok(())
+        self.sender.send(item).map_err(|error| error.0)
     }
 
-    /// Appends every item drained from `items`, blocking while the ring
-    /// is full, publishing each burst of writes with **one** release
-    /// store on `tail` — the batched counterpart of [`Producer::push`],
-    /// which pays an atomic store (and, when the ring looks full, an
-    /// acquire reload of `head`) per item. At large transfers this is
-    /// what makes the lock-free lane beat a mutex-and-swap queue: the
-    /// counter traffic amortizes to one store per *burst*.
-    ///
-    /// `items` is left empty on success, so callers reuse it as a
-    /// staging buffer. Returns `Err(n)` — with the `n` undelivered items
-    /// dropped — only if the consumer is gone, in which case the lane
-    /// can never drain.
+    /// Appends every item drained from `items`, in order, blocking while
+    /// the lane is full. `items` is left empty, so callers reuse it as a
+    /// staging buffer. Returns `Err(n)`, with the `n` undelivered items
+    /// dropped, only if the consumer is gone.
     pub fn push_slice(&self, items: &mut Vec<T>) -> Result<(), usize> {
-        let shared = &self.shared;
-        let capacity = shared.mask + 1;
         let total = items.len();
-        let mut seq = shared.tail.0.load(Ordering::Relaxed);
-        let end = seq + total;
-        let mut drain = items.drain(..);
-        while seq < end {
-            let mut free = capacity - (seq - self.head_cache.get()).min(capacity);
-            if free == 0 {
-                let mut spins = 0u32;
-                loop {
-                    let head = shared.head.0.load(Ordering::Acquire);
-                    self.head_cache.set(head);
-                    free = capacity - (seq - head);
-                    if free > 0 {
-                        break;
-                    }
-                    if shared.abandoned.load(Ordering::Acquire) {
-                        return Err(end - seq);
-                    }
-                    spins += 1;
-                    if spins < 64 {
-                        std::hint::spin_loop();
-                    } else {
-                        std::thread::yield_now();
-                    }
-                }
+        for (sent, item) in items.drain(..).enumerate() {
+            if self.sender.send(item).is_err() {
+                return Err(total - sent);
             }
-            let mut burst = free.min(end - seq);
-            // One lock acquisition per chunk segment, not per item.
-            while burst > 0 {
-                let (chunk, within) = shared.locate(seq);
-                let span = burst.min(shared.chunk_size - within);
-                let mut guard = chunk_guard(&shared.chunks[chunk].0);
-                for (offset, item) in (&mut drain).take(span).enumerate() {
-                    guard[within + offset] = Some(item);
-                }
-                seq += span;
-                burst -= span;
-            }
-            shared.tail.0.store(seq, Ordering::Release);
         }
         Ok(())
-    }
-
-    /// Items currently buffered in the lane.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shared
-            .tail
-            .0
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.shared.head.0.load(Ordering::Acquire))
-    }
-
-    /// Whether the lane is currently empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl<T> Drop for Producer<T> {
-    fn drop(&mut self) {
-        self.shared.closed.store(true, Ordering::Release);
     }
 }
 
 /// The read half of a lane, owned by one shard worker.
 #[derive(Debug)]
 pub struct Consumer<T> {
-    shared: Arc<Shared<T>>,
-    /// Last `tail` value observed — reloaded from shared state only when
-    /// the ring *looks* empty, mirroring the producer's head cache.
-    tail_cache: Cell<usize>,
+    receiver: Receiver<T>,
 }
 
 impl<T> Consumer<T> {
-    /// Takes the next item without blocking; `None` when the ring is
-    /// currently empty (which does not mean the stream ended).
-    pub fn try_pop(&self) -> Option<T> {
-        let shared = &self.shared;
-        let seq = shared.head.0.load(Ordering::Relaxed);
-        if seq == self.tail_cache.get() {
-            let tail = shared.tail.0.load(Ordering::Acquire);
-            self.tail_cache.set(tail);
-            if seq == tail {
-                return None;
-            }
-        }
-        let (chunk, within) = shared.locate(seq);
-        let item = chunk_guard(&shared.chunks[chunk].0)[within].take();
-        shared.head.0.store(seq + 1, Ordering::Release);
-        item
-    }
-
-    /// Drains up to `max` buffered items into `out` without blocking,
-    /// returning how many were taken. The batched counterpart of
-    /// [`Consumer::try_pop`]: the whole burst is claimed with one relaxed
-    /// load and released with **one** store on `head`, so at large
-    /// transfers the counter traffic amortizes to one atomic per burst.
-    pub fn pop_slice(&self, out: &mut Vec<T>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let shared = &self.shared;
-        let seq = shared.head.0.load(Ordering::Relaxed);
-        let mut tail = self.tail_cache.get();
-        if seq == tail {
-            tail = shared.tail.0.load(Ordering::Acquire);
-            self.tail_cache.set(tail);
-            if seq == tail {
-                return 0;
-            }
-        }
-        let take = (tail - seq).min(max);
-        out.reserve(take);
-        let mut cursor = seq;
-        // One lock acquisition per chunk segment, not per item.
-        while cursor < seq + take {
-            let (chunk, within) = shared.locate(cursor);
-            let span = (seq + take - cursor).min(shared.chunk_size - within);
-            let mut guard = chunk_guard(&shared.chunks[chunk].0);
-            for offset in 0..span {
-                // The protocol guarantees every claimed slot is occupied;
-                // the `if let` is the no-panic spelling of that invariant.
-                if let Some(item) = guard[within + offset].take() {
-                    out.push(item);
-                }
-            }
-            cursor += span;
-        }
-        shared.head.0.store(seq + take, Ordering::Release);
-        take
-    }
-
-    /// Drains up to `max` items into `out`, blocking until at least one
-    /// arrives; returns how many were taken, with `0` meaning the
-    /// producer closed the lane and everything buffered has drained —
-    /// true end-of-stream. The batched counterpart of [`Consumer::recv`].
+    /// Blocks until an item arrives, then drains whatever else is already
+    /// buffered, up to `max` items in all (at least one), into `out`.
+    /// Returns how many were taken; `0` means the producer closed the
+    /// lane and everything buffered has drained: true end-of-stream.
     pub fn recv_slice(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let mut spins = 0u32;
-        loop {
-            let taken = self.pop_slice(out, max);
-            if taken > 0 {
-                return taken;
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Re-check after observing closed: the producer's last
-                // push happens-before the close flag.
-                return self.pop_slice(out, max);
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Takes the next item, blocking until one arrives; `None` means the
-    /// producer closed the lane and every buffered item has been drained
-    /// — true end-of-stream.
-    pub fn recv(&self) -> Option<T> {
-        let mut spins = 0u32;
-        loop {
-            if let Some(item) = self.try_pop() {
-                return Some(item);
-            }
-            if self.shared.closed.load(Ordering::Acquire) {
-                // Re-check after observing closed: the producer's last
-                // push happens-before the close flag.
-                return self.try_pop();
-            }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-}
-
-impl<T> Drop for Consumer<T> {
-    fn drop(&mut self) {
-        self.shared.abandoned.store(true, Ordering::Release);
+        let Ok(first) = self.receiver.recv() else {
+            return 0;
+        };
+        let before = out.len();
+        out.push(first);
+        out.extend(self.receiver.try_iter().take(max.saturating_sub(1)));
+        out.len() - before
     }
 }
 
@@ -374,137 +73,46 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fifo_order_within_capacity() {
-        let (producer, consumer) = lane(4);
-        for value in 0..4 {
-            assert!(producer.push(value).is_ok());
-        }
-        assert_eq!(producer.len(), 4);
-        for value in 0..4 {
-            assert_eq!(consumer.try_pop(), Some(value));
-        }
-        assert_eq!(consumer.try_pop(), None);
-    }
-
-    #[test]
-    fn drop_of_producer_ends_the_stream_after_drain() {
-        let (producer, consumer) = lane(2);
-        producer.push(1).map_err(|_| ()).expect("consumer alive");
-        drop(producer);
-        assert_eq!(consumer.recv(), Some(1));
-        assert_eq!(consumer.recv(), None);
-    }
-
-    #[test]
-    fn push_fails_once_the_consumer_is_gone() {
-        let (producer, consumer) = lane(1);
-        producer.push(1).map_err(|_| ()).expect("consumer alive");
-        drop(consumer);
-        assert_eq!(producer.push(2), Err(2), "ring full, consumer gone");
-    }
-
-    #[test]
-    fn push_slice_wraps_and_preserves_order() {
-        let (producer, consumer) = lane(4);
-        // Prime the ring so the batch has to wrap the slot array.
-        producer.push(0).map_err(|_| ()).expect("consumer alive");
-        producer.push(1).map_err(|_| ()).expect("consumer alive");
-        assert_eq!(consumer.try_pop(), Some(0));
-        assert_eq!(consumer.try_pop(), Some(1));
-        let mut batch = vec![2, 3, 4, 5];
-        assert!(producer.push_slice(&mut batch).is_ok());
-        assert!(batch.is_empty(), "staging buffer drained");
-        let mut out = Vec::new();
-        assert_eq!(consumer.pop_slice(&mut out, 16), 4);
-        assert_eq!(out, vec![2, 3, 4, 5]);
-        assert_eq!(consumer.pop_slice(&mut out, 16), 0);
-    }
-
-    #[test]
-    fn pop_slice_respects_max() {
+    fn recv_slice_respects_max_then_sees_end_of_stream() {
         let (producer, consumer) = lane(8);
         let mut batch = (0..6).collect::<Vec<_>>();
-        assert!(producer.push_slice(&mut batch).is_ok());
-        let mut out = Vec::new();
-        assert_eq!(consumer.pop_slice(&mut out, 4), 4);
-        assert_eq!(out, vec![0, 1, 2, 3]);
-        assert_eq!(consumer.pop_slice(&mut out, 4), 2);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(consumer.pop_slice(&mut out, 0), 0, "max of zero is a no-op");
-    }
-
-    #[test]
-    fn push_slice_fails_once_the_consumer_is_gone() {
-        let (producer, consumer) = lane(2);
-        drop(consumer);
-        let mut batch = vec![1, 2, 3, 4];
-        assert_eq!(
-            producer.push_slice(&mut batch),
-            Err(2),
-            "two fit in the ring, two can never be delivered"
-        );
-    }
-
-    #[test]
-    fn recv_slice_drains_then_sees_end_of_stream() {
-        let (producer, consumer) = lane(4);
-        let mut batch = vec![7, 8];
-        assert!(producer.push_slice(&mut batch).is_ok());
+        assert_eq!(producer.push_slice(&mut batch), Ok(()));
+        assert!(batch.is_empty(), "staging buffer drained");
         drop(producer);
         let mut out = Vec::new();
-        assert_eq!(consumer.recv_slice(&mut out, 16), 2);
-        assert_eq!(out, vec![7, 8]);
-        assert_eq!(consumer.recv_slice(&mut out, 16), 0, "end of stream");
+        assert_eq!(consumer.recv_slice(&mut out, 4), 4);
+        assert_eq!(consumer.recv_slice(&mut out, 4), 2);
+        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(consumer.recv_slice(&mut out, 4), 0, "end of stream");
     }
 
     #[test]
-    fn batched_cross_thread_transfer_is_lossless_and_ordered() {
+    fn pushes_fail_once_the_consumer_is_gone() {
+        let (producer, consumer) = lane(2);
+        drop(consumer);
+        assert_eq!(producer.push(1), Err(1));
+        let mut batch = vec![1, 2, 3];
+        assert_eq!(producer.push_slice(&mut batch), Err(3), "none delivered");
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn cross_thread_transfer_through_a_full_lane_is_lossless_and_ordered() {
         const COUNT: usize = 16_384;
         const BURST: usize = 64;
-        let (producer, consumer) = lane(256);
+        let (producer, consumer) = lane(8);
         std::thread::scope(|scope| {
             scope.spawn(move || {
                 let mut staging = Vec::with_capacity(BURST);
                 for value in 0..COUNT {
                     staging.push(value);
-                    if staging.len() == BURST {
-                        producer
-                            .push_slice(&mut staging)
-                            .map_err(|_| ())
-                            .expect("consumer alive");
+                    if staging.len() == BURST || value + 1 == COUNT {
+                        assert_eq!(producer.push_slice(&mut staging), Ok(()));
                     }
                 }
             });
             let mut seen = Vec::with_capacity(COUNT);
-            let mut burst = Vec::with_capacity(BURST);
-            loop {
-                let taken = consumer.recv_slice(&mut burst, BURST);
-                if taken == 0 {
-                    break;
-                }
-                seen.append(&mut burst);
-            }
-            assert_eq!(seen, (0..COUNT).collect::<Vec<_>>());
-        });
-    }
-
-    #[test]
-    fn cross_thread_transfer_is_lossless_and_ordered() {
-        const COUNT: usize = 10_000;
-        let (producer, consumer) = lane(8);
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for value in 0..COUNT {
-                    producer
-                        .push(value)
-                        .map_err(|_| ())
-                        .expect("consumer alive");
-                }
-            });
-            let mut seen = Vec::with_capacity(COUNT);
-            while let Some(value) = consumer.recv() {
-                seen.push(value);
-            }
+            while consumer.recv_slice(&mut seen, BURST) > 0 {}
             assert_eq!(seen, (0..COUNT).collect::<Vec<_>>());
         });
     }

@@ -3,14 +3,14 @@
 //! ## Shape
 //!
 //! ```text
-//! driver 0 ──SPSC──▶ shard worker 0 ──┐
-//! driver 1 ──SPSC──▶ shard worker 1 ──┼─▶ FleetView (windows + slots)
-//! driver L ──SPSC──▶ shard worker L ──┘      ▲
+//! driver 0 ──lane──▶ shard worker 0 ──┐
+//! driver 1 ──lane──▶ shard worker 1 ──┼─▶ FleetView (windows + slots)
+//! driver L ──lane──▶ shard worker L ──┘      ▲
 //!                                            │ snapshot/window/report
 //!                    Unix socket server ─────┘   (line-delimited JSON)
 //! ```
 //!
-//! Each *lane* is one bounded SPSC ring with one producer (a device
+//! Each *lane* is one bounded channel with one producer (a device
 //! driver simulating the devices `index ≡ lane (mod lanes)`, under the
 //! shared `ea-fleet` supervisor: retries, checkpoint salvage, chaos
 //! panics) and one consumer (a shard worker folding events into the
@@ -33,11 +33,21 @@
 //!
 //! Everything else the service maintains — windows, live prevalence,
 //! snapshots — is observability and never feeds the report.
+//!
+//! ## Blocking, not polling
+//!
+//! Every thread that waits parks: lanes block on their channel, the
+//! query server blocks in `accept`, and `hold` waits on a condition
+//! variable. Setting the stop signal wakes the accept loop by
+//! connecting to the service's own socket once. Connections read with
+//! an idle timeout, so once the run is stopping an idle client is closed
+//! within one idle period and cannot keep the run alive. The only timed
+//! loop is the 250 ms snapshot sampler, whose period is its job.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -50,10 +60,25 @@ use crate::protocol::{Ack, LaneEvent, Request};
 use crate::ring;
 use crate::view::FleetView;
 
-/// Events a shard worker drains from its lane per burst: one head-counter
-/// store and one view lock amortize over up to this many events. Sized to
-/// a fraction of the default ring so a burst never starves the producer.
+/// Events a shard worker drains from its lane per burst: one view lock
+/// amortizes over up to this many events. A fraction of the lane's
+/// capacity, so a burst never starves the producer.
 const INGEST_BURST: usize = 64;
+
+/// Events buffered per lane before its driver blocks.
+const LANE_CAPACITY: usize = 1024;
+
+/// Longest request line the query server reads, newline included. A
+/// longer line is refused and its connection closed, so a client can
+/// never make the server buffer more than this.
+const MAX_LINE_BYTES: usize = 4096;
+
+/// A connection's read timeout. Once the run is stopping, a connection
+/// that sent nothing for a whole period is closed.
+const IDLE_PERIOD: Duration = Duration::from_secs(1);
+
+/// Live query connections served at once; one more is refused.
+const MAX_CONNECTIONS: usize = 64;
 
 /// Configuration of one service run.
 #[derive(Debug, Clone)]
@@ -64,11 +89,6 @@ pub struct ServeConfig {
     pub fleet: FleetConfig,
     /// Ingest lanes (driver/worker pairs); `0` means one per core.
     pub lanes: usize,
-    /// Slots per SPSC ring. The default (1024) sits past the measured
-    /// throughput knee — smaller rings keep the producer in its blocked
-    /// path; growing past this buys nothing (see `serve_ingest` in the
-    /// hotloop bench).
-    pub ring_capacity: usize,
     /// Lane events per ingest window before it rolls.
     pub window_events: u64,
     /// Unix-socket path for snapshot queries; `None` disables the
@@ -86,7 +106,6 @@ impl ServeConfig {
         ServeConfig {
             fleet,
             lanes: 0,
-            ring_capacity: 1024,
             window_events: 64,
             socket: None,
             hold: false,
@@ -141,6 +160,50 @@ struct ShardAccumulator {
     checkpoints: u64,
 }
 
+/// The run's stop signal: set once, by the drained stream without
+/// `hold` or by a `shutdown` request, and never cleared.
+struct Stop {
+    set: Mutex<bool>,
+    changed: Condvar,
+    /// The query server's socket, if any: connecting to it wakes the
+    /// accept loop blocked on it.
+    socket: Option<PathBuf>,
+}
+
+impl Stop {
+    fn new(socket: Option<PathBuf>) -> Self {
+        Stop {
+            set: Mutex::new(false),
+            changed: Condvar::new(),
+            socket,
+        }
+    }
+
+    fn is_set(&self) -> bool {
+        *lock_clean(&self.set)
+    }
+
+    /// Sets the signal and, the first time, wakes the accept loop.
+    fn set(&self) {
+        let was_set = std::mem::replace(&mut *lock_clean(&self.set), true);
+        self.changed.notify_all();
+        if let (false, Some(socket)) = (was_set, &self.socket) {
+            let _ = UnixStream::connect(socket);
+        }
+    }
+
+    /// Blocks until the signal is set.
+    fn wait(&self) {
+        let mut set = lock_clean(&self.set);
+        while !*set {
+            set = self
+                .changed
+                .wait(set)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+    }
+}
+
 /// Shared state the query server hands each connection.
 #[derive(Clone, Copy)]
 struct ServerShared<'a> {
@@ -148,7 +211,7 @@ struct ServerShared<'a> {
     view: &'a Mutex<FleetView>,
     report_json: &'a Mutex<Option<String>>,
     report_ready: &'a Condvar,
-    stop: &'a AtomicBool,
+    stop: &'a Stop,
     queries: &'a AtomicU64,
 }
 
@@ -187,9 +250,7 @@ pub fn run_serve(
             // A stale socket file from a previous run would fail the
             // bind; the file is meaningless without its listener.
             let _ = std::fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
+            Some(UnixListener::bind(path)?)
         }
         None => None,
     };
@@ -203,13 +264,14 @@ pub fn run_serve(
     let queries = AtomicU64::new(0);
     let report_json: Mutex<Option<String>> = Mutex::new(None);
     let report_ready = Condvar::new();
-    let stop = AtomicBool::new(false);
+    let stop = Stop::new(config.socket.clone());
+    let live_connections = AtomicUsize::new(0);
     let stream_done = AtomicBool::new(false);
 
     let report = std::thread::scope(|scope| {
         let mut worker_handles = Vec::with_capacity(lanes);
         for lane_id in 0..lanes {
-            let (producer, consumer) = ring::lane(config.ring_capacity);
+            let (producer, consumer) = ring::lane(LANE_CAPACITY);
             let corpus = &corpus;
             let observatory = &observatory;
             let supervision = &supervision;
@@ -261,10 +323,7 @@ pub fn run_serve(
             });
 
             // Shard worker: the lane's single consumer. Events drain in
-            // bursts — one head-counter store and one view lock per
-            // burst instead of per event — which is what keeps a busy
-            // lane's ingest cost amortized (see `ring::Consumer::
-            // recv_slice` and the `serve_ingest` bench rows).
+            // bursts, one view lock per burst instead of per event.
             worker_handles.push(scope.spawn(move || {
                 let mut local = ShardAccumulator::default();
                 let mut burst = Vec::with_capacity(INGEST_BURST);
@@ -290,7 +349,8 @@ pub fn run_serve(
             }));
         }
 
-        // Query server: poll-accept so the loop can notice the stop flag.
+        // Query server: blocks in `accept` until a client or the stop
+        // signal's wake-up connection arrives.
         if let Some(listener) = &listener {
             let shared = ServerShared {
                 observatory: &observatory,
@@ -300,19 +360,26 @@ pub fn run_serve(
                 stop: &stop,
                 queries: &queries,
             };
-            let stop = &stop;
-            scope.spawn(move || loop {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        scope.spawn(move || serve_connection(stream, &shared));
+            let live = &live_connections;
+            scope.spawn(move || {
+                for stream in listener.incoming() {
+                    let Ok(mut stream) = stream else { break };
+                    if shared.stop.is_set() {
+                        break;
                     }
-                    Err(error) if error.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(10));
+                    // Only this thread adds, so the cap cannot be overrun.
+                    if live.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
+                        let _ = writeln!(
+                            stream,
+                            "{{\"error\":\"too many connections (limit {MAX_CONNECTIONS})\"}}"
+                        );
+                        continue;
                     }
-                    Err(_) => break,
+                    live.fetch_add(1, Ordering::Relaxed);
+                    scope.spawn(move || {
+                        serve_connection(stream, &shared);
+                        live.fetch_sub(1, Ordering::Relaxed);
+                    });
                 }
             });
         }
@@ -357,11 +424,9 @@ pub fn run_serve(
         }
 
         if listener.is_some() && config.hold {
-            while !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            stop.wait();
         } else {
-            stop.store(true, Ordering::Relaxed);
+            stop.set();
         }
         report
     });
@@ -404,32 +469,58 @@ fn compact_report_json(report: &FleetReport) -> String {
 }
 
 /// Serves one socket connection: line-delimited JSON requests, one JSON
-/// line per response.
+/// line per response. A request that has arrived is always answered;
+/// the connection closes at end of input, on an over-long line, or when
+/// the run is stopping and the client stays silent for an idle period.
 fn serve_connection(stream: UnixStream, shared: &ServerShared<'_>) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = write_half;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let parsed = Request::parse(&line);
-        let reply = match parsed {
-            Ok(request) => {
-                shared.queries.fetch_add(1, Ordering::Relaxed);
-                respond(request, shared)
+    if stream.set_read_timeout(Some(IDLE_PERIOD)).is_err() {
+        return;
+    }
+    let mut reader = BufReader::new(stream);
+    // Partial bytes survive a timeout: `read_until` keeps what it read.
+    let mut line = Vec::new();
+    loop {
+        let before = line.len();
+        let room = (MAX_LINE_BYTES - before) as u64;
+        let end_of_input = match (&mut reader).take(room).read_until(b'\n', &mut line) {
+            Ok(_) if line.ends_with(b"\n") => false,
+            Ok(_) if line.len() >= MAX_LINE_BYTES => {
+                let _ = writeln!(
+                    writer,
+                    "{{\"error\":\"bad request: line longer than {MAX_LINE_BYTES} bytes\"}}"
+                );
+                return;
             }
-            Err(ref message) => format!("{{\"error\":{}}}", quote_json(message)),
+            Ok(_) => true,
+            Err(error) if matches!(error.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                if line.len() == before && shared.stop.is_set() {
+                    return;
+                }
+                continue;
+            }
+            Err(_) => return,
         };
-        if writeln!(writer, "{reply}").is_err() {
-            break;
+        let text = String::from_utf8_lossy(&line);
+        if !text.trim().is_empty() {
+            let parsed = Request::parse(&text);
+            let reply = match parsed {
+                Ok(request) => {
+                    shared.queries.fetch_add(1, Ordering::Relaxed);
+                    respond(request, shared)
+                }
+                Err(ref message) => format!("{{\"error\":{}}}", quote_json(message)),
+            };
+            if writeln!(writer, "{reply}").is_err() || parsed == Ok(Request::Shutdown) {
+                return;
+            }
         }
-        if parsed == Ok(Request::Shutdown) {
-            break;
+        if end_of_input {
+            return;
         }
+        line.clear();
     }
 }
 
@@ -458,7 +549,7 @@ fn respond(request: Request, shared: &ServerShared<'_>) -> String {
             }
         }
         Request::Shutdown => {
-            shared.stop.store(true, Ordering::Relaxed);
+            shared.stop.set();
             serde_json::to_string(&Ack::new()).unwrap_or_else(|_| String::from("{\"ok\":true}"))
         }
     }

@@ -92,7 +92,6 @@ COMMANDS:
         (also accepts the fleet sizing/fault/watch/heartbeat flags above)
     serve                   stream the fleet through the ingest service
         --lanes L                  ingest lanes (default: all cores)
-        --ring N                   SPSC ring capacity per lane (default 1024)
         --window N                 lane events per ingest window (default 64)
         --socket <path>            serve snapshot queries on a Unix socket
         --hold                     keep serving after the stream drains,
@@ -157,6 +156,22 @@ fn flag_value<'a>(args: &[&'a str], flag: &str) -> Option<&'a str> {
     args.iter()
         .position(|&arg| arg == flag)
         .and_then(|index| args.get(index + 1).copied())
+}
+
+/// `flag`'s value parsed as a `T`, `None` when the flag is absent. A
+/// value that does not parse is an error naming `command` and the flag.
+fn parse_flag<T: std::str::FromStr>(
+    command: &str,
+    args: &[&str],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    flag_value(args, flag)
+        .map(|value| {
+            value
+                .parse()
+                .map_err(|_| format!("{command}: {flag} expects a number, got {value:?}"))
+        })
+        .transpose()
 }
 
 fn has_flag(args: &[&str], flag: &str) -> bool {
@@ -422,21 +437,19 @@ fn cmd_workload(args: &[&str]) -> ExitCode {
 /// Builds a [`FleetConfig`] from the shared fleet/metrics flag set.
 fn parse_fleet_config(command: &str, args: &[&str]) -> Result<FleetConfig, String> {
     let mut config = FleetConfig::default();
-    if let Some(size) = flag_value(args, "--size").and_then(|value| value.parse().ok()) {
+    if let Some(size) = parse_flag(command, args, "--size")? {
         config.size = size;
     }
-    if let Some(seed) = flag_value(args, "--seed").and_then(|value| value.parse().ok()) {
+    if let Some(seed) = parse_flag(command, args, "--seed")? {
         config.seed = seed;
     }
-    if let Some(jobs) = flag_value(args, "--jobs").and_then(|value| value.parse().ok()) {
+    if let Some(jobs) = parse_flag(command, args, "--jobs")? {
         config.jobs = jobs;
     }
-    if let Some(index) = flag_value(args, "--inject-panic").and_then(|value| value.parse().ok()) {
+    if let Some(index) = parse_flag(command, args, "--inject-panic")? {
         config.panic_devices.push(index);
     }
-    if let Some(capacity) =
-        flag_value(args, "--flight-recorder").and_then(|value| value.parse().ok())
-    {
+    if let Some(capacity) = parse_flag(command, args, "--flight-recorder")? {
         config.flight_recorder = capacity;
     }
     if let Some(spec) = flag_value(args, "--faults") {
@@ -676,33 +689,36 @@ fn cmd_metrics(args: &[&str]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// Builds a [`ServeConfig`] from the fleet flag set plus the serve flags.
+fn parse_serve_config(args: &[&str]) -> Result<ServeConfig, String> {
+    let mut config = ServeConfig::new(parse_fleet_config("serve", args)?);
+    if let Some(lanes) = parse_flag("serve", args, "--lanes")? {
+        config.lanes = lanes;
+    }
+    if let Some(events) = parse_flag("serve", args, "--window")? {
+        config.window_events = events;
+    }
+    config.socket = flag_value(args, "--socket").map(std::path::PathBuf::from);
+    config.hold = has_flag(args, "--hold");
+    if config.hold && config.socket.is_none() {
+        return Err(String::from(
+            "serve: --hold needs --socket (nothing to hold the service open for)",
+        ));
+    }
+    Ok(config)
+}
+
 /// `eandroid serve` — stream the configured fleet through the ingest
 /// service and print the drained deterministic report, byte-identical
 /// to `eandroid fleet` over the same seed/size at any `--lanes`.
 fn cmd_serve(args: &[&str]) -> ExitCode {
-    let fleet = match parse_fleet_config("serve", args) {
+    let config = match parse_serve_config(args) {
         Ok(config) => config,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    let mut config = ServeConfig::new(fleet);
-    if let Some(lanes) = flag_value(args, "--lanes").and_then(|value| value.parse().ok()) {
-        config.lanes = lanes;
-    }
-    if let Some(capacity) = flag_value(args, "--ring").and_then(|value| value.parse().ok()) {
-        config.ring_capacity = capacity;
-    }
-    if let Some(events) = flag_value(args, "--window").and_then(|value| value.parse().ok()) {
-        config.window_events = events;
-    }
-    config.socket = flag_value(args, "--socket").map(std::path::PathBuf::from);
-    config.hold = has_flag(args, "--hold");
-    if config.hold && config.socket.is_none() {
-        eprintln!("serve: --hold needs --socket (nothing to hold the service open for)");
-        return ExitCode::FAILURE;
-    }
 
     let watch = has_flag(args, "--watch");
     let mut heartbeat_file = match flag_value(args, "--heartbeat") {

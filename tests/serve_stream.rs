@@ -1,13 +1,19 @@
 //! End-to-end contract tests for the streaming ingest service: the
 //! stream-replayed report is byte-identical to the batch oracle at any
-//! lane/job count (including under fault plans), and the socket query
-//! surface answers mid-run with valid schema-tagged JSON.
+//! lane/job count (including under fault plans), the socket query
+//! surface answers mid-run with valid schema-tagged JSON, and no client
+//! (idle, newline-less or one too many) can wedge the run or grow the
+//! server's memory.
 
-use std::time::Duration;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::path::{Path, PathBuf};
+use std::sync::mpsc;
+use std::time::{Duration, Instant};
 
 use e_android::chaos::FaultPlan;
-use e_android::fleet::{render, run_fleet, FleetConfig};
-use e_android::serve::{query_with_retry, run_serve, Request, ServeConfig};
+use e_android::fleet::{render, run_fleet, FleetConfig, FleetReport};
+use e_android::serve::{query, query_with_retry, run_serve, Request, ServeConfig, PONG_SCHEMA};
 
 /// The tentpole guarantee: streaming the same fleet seed through the
 /// ingest lanes reproduces the batch report byte for byte, whatever the
@@ -170,4 +176,175 @@ fn held_service_answers_after_drain_until_shutdown() {
             .unwrap_or_else(|error| panic!("serve failed: {error}"));
         assert_eq!(report.devices_completed, 2);
     });
+}
+
+/// A socket path private to one test of this process.
+fn test_socket(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("ea-serve-{tag}-{}.sock", std::process::id()))
+}
+
+/// Runs the service on a detached thread. A run that hangs fails its
+/// test through [`finished`]'s timeout instead of hanging the suite.
+fn spawn_serve(config: ServeConfig) -> mpsc::Receiver<FleetReport> {
+    let (sender, receiver) = mpsc::channel();
+    std::thread::spawn(move || {
+        let (report, _) =
+            run_serve(&config, None).unwrap_or_else(|error| panic!("serve failed: {error}"));
+        let _ = sender.send(report);
+    });
+    receiver
+}
+
+/// The run's report, failing the test if it takes more than 5 s.
+fn finished(run: &mpsc::Receiver<FleetReport>) -> FleetReport {
+    run.recv_timeout(Duration::from_secs(5))
+        .unwrap_or_else(|error| panic!("run_serve did not return within 5 s: {error}"))
+}
+
+/// Sends one request line and reads one reply line.
+fn ask(connection: &mut BufReader<UnixStream>, request: &str) -> String {
+    connection
+        .get_mut()
+        .write_all(format!("{request}\n").as_bytes())
+        .unwrap_or_else(|error| panic!("send {request}: {error}"));
+    let mut reply = String::new();
+    connection
+        .read_line(&mut reply)
+        .unwrap_or_else(|error| panic!("reply to {request}: {error}"));
+    reply
+}
+
+/// Connects to `socket`, retrying while the service binds it. Reads
+/// time out after 5 s, so a server that never answers fails the test.
+fn connect(socket: &Path) -> BufReader<UnixStream> {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let stream = loop {
+        match UnixStream::connect(socket) {
+            Ok(stream) => break stream,
+            Err(_) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(1)),
+            Err(error) => panic!("cannot connect to {}: {error}", socket.display()),
+        }
+    };
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap_or_else(|error| panic!("set the client read timeout: {error}"));
+    BufReader::new(stream)
+}
+
+/// [`connect`], proving the connection is being served by getting a
+/// `ping` answered.
+fn connect_served(socket: &Path) -> BufReader<UnixStream> {
+    let mut connection = connect(socket);
+    let pong = ask(&mut connection, "ping");
+    assert!(pong.contains(PONG_SCHEMA), "ping reply: {pong}");
+    connection
+}
+
+/// Asserts the server closed `connection`: end of input, or a reset
+/// when the server closed it with unread bytes.
+fn assert_closed(connection: &mut BufReader<UnixStream>) {
+    let mut rest = Vec::new();
+    if let Err(error) = connection.read_to_end(&mut rest) {
+        assert_eq!(
+            error.kind(),
+            ErrorKind::ConnectionReset,
+            "connection still open: {error}"
+        );
+    }
+}
+
+/// Without `hold`, the run ends once the stream drains even while an
+/// idle client keeps a connection open: the server closes the silent
+/// connection instead of waiting on it forever.
+#[test]
+fn idle_client_cannot_keep_a_drained_run_alive() {
+    let socket = test_socket("idle");
+    let run = spawn_serve(ServeConfig {
+        lanes: 1,
+        socket: Some(socket.clone()),
+        ..ServeConfig::new(FleetConfig::smoke(16, 2_718))
+    });
+    let mut idle = connect_served(&socket);
+    assert_eq!(finished(&run).devices_completed, 16);
+    assert_closed(&mut idle);
+}
+
+/// With `hold`, a `shutdown` from a second connection ends the run while
+/// an idle first connection is still open.
+#[test]
+fn shutdown_ends_a_held_run_despite_an_idle_connection() {
+    let socket = test_socket("hold-idle");
+    let run = spawn_serve(ServeConfig {
+        lanes: 1,
+        hold: true,
+        socket: Some(socket.clone()),
+        ..ServeConfig::new(FleetConfig::smoke(2, 9))
+    });
+    let mut idle = connect_served(&socket);
+    let ack = query(&socket, Request::Shutdown)
+        .unwrap_or_else(|error| panic!("shutdown query failed: {error}"));
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    assert_eq!(finished(&run).devices_completed, 2);
+    assert_closed(&mut idle);
+}
+
+/// A client streaming 1 MiB with no newline gets an error line and is
+/// closed after the line cap: the server never reads, let alone
+/// buffers, the whole megabyte, so the client's write fails.
+#[test]
+fn newline_less_flood_is_refused_and_closed() {
+    const FLOOD: usize = 1 << 20;
+    let socket = test_socket("flood");
+    let run = spawn_serve(ServeConfig {
+        lanes: 1,
+        hold: true,
+        socket: Some(socket.clone()),
+        ..ServeConfig::new(FleetConfig::smoke(2, 9))
+    });
+    let mut connection = connect_served(&socket);
+    let mut writer = connection
+        .get_ref()
+        .try_clone()
+        .unwrap_or_else(|error| panic!("clone the client socket: {error}"));
+    let flood = std::thread::spawn(move || writer.write_all(&vec![b'x'; FLOOD]));
+    let mut reply = String::new();
+    connection
+        .read_line(&mut reply)
+        .unwrap_or_else(|error| panic!("read the error line: {error}"));
+    assert!(
+        reply.starts_with("{\"error\":\"bad request: line longer than"),
+        "{reply}"
+    );
+    assert_closed(&mut connection);
+    let written = flood
+        .join()
+        .unwrap_or_else(|_| panic!("flood thread panicked"));
+    assert!(written.is_err(), "the server consumed the whole 1 MiB line");
+    query(&socket, Request::Shutdown)
+        .unwrap_or_else(|error| panic!("shutdown query failed: {error}"));
+    finished(&run);
+}
+
+/// The query server holds at most 64 live connections; the 65th gets an
+/// error line and is closed, and the 64 keep being served.
+#[test]
+fn connection_past_the_cap_is_refused_with_an_error_line() {
+    let socket = test_socket("cap");
+    let run = spawn_serve(ServeConfig {
+        lanes: 1,
+        hold: true,
+        socket: Some(socket.clone()),
+        ..ServeConfig::new(FleetConfig::smoke(2, 9))
+    });
+    let mut open: Vec<_> = (0..64).map(|_| connect_served(&socket)).collect();
+    let mut refused = connect(&socket);
+    let mut reply = String::new();
+    refused
+        .read_line(&mut reply)
+        .unwrap_or_else(|error| panic!("read the refusal: {error}"));
+    assert!(reply.contains("too many connections"), "{reply}");
+    assert_closed(&mut refused);
+    let ack = ask(&mut open[0], "shutdown");
+    assert!(ack.contains("\"ok\":true"), "{ack}");
+    finished(&run);
 }

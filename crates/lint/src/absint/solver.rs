@@ -18,8 +18,14 @@
 //!    minimal witness path per target — independent of install order.
 //!
 //! The solution prices every envelope through [`super::price::Pricer`]
-//! and precomputes the package-ordered aggregates the rules query, so a
-//! full corpus pass stays linear in the app count.
+//! and precomputes the package-ordered aggregates the rules query: each
+//! rule's price is an aggregate minus the origin's own share, O(1) per
+//! app. Reachability keeps one row per origin holding only the targets
+//! it reaches, and an app set that declares no implicit-intent handler
+//! (the Figure 2 corpus) keeps no rows at all. Together with the
+//! evidence lists [`crate::LintContext`] sorts once, a corpus pass is
+//! linear in the app count plus the exported components; only the
+//! reachability relaxations themselves grow with the intent graph.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -70,21 +76,39 @@ struct AppSolution {
     has_exported_service: bool,
 }
 
-/// Witness parent pointer: `(previous app, action, component, kind)`.
-type Parent = (usize, String, String, ComponentKind);
+/// One intent-graph edge: an exported handler of an implicit action.
+#[derive(Debug)]
+struct Edge {
+    action: String,
+    component: String,
+    kind: ComponentKind,
+    /// The app owning the handler.
+    target: usize,
+}
+
+/// A target reached from an origin, with the last hop of its minimal
+/// witness path.
+#[derive(Debug, Clone, Copy)]
+struct Reached {
+    hops: usize,
+    /// Index into [`AbsintSolution::edges`] of the final hop (its
+    /// `target` is the reached app).
+    edge: usize,
+    /// Row position of the app the final hop leaves; `None` when it
+    /// leaves the origin.
+    via: Option<usize>,
+}
 
 /// The fixpoint solution over one app set.
 #[derive(Debug)]
 pub struct AbsintSolution {
     apps: Vec<AppSolution>,
     pricer: Pricer,
-    /// `reach[origin][target]` — minimal hops + witness parent, `None`
-    /// when unreachable. Only materialized when the intent graph is
-    /// non-trivial; an empty handler map short-circuits to all-`None`.
-    reach: Vec<Vec<Option<(usize, Parent)>>>,
-    /// App indices in package order: the canonical iteration order that
-    /// makes every cross-app float aggregation install-order independent.
-    order: Vec<usize>,
+    /// The intent graph's edges, in the order relaxation visits them.
+    edges: Vec<Edge>,
+    /// `reach[origin]` — the targets `origin` reaches, in discovery
+    /// order. Empty (no rows at all) when no app declares a handler.
+    reach: Vec<Vec<Reached>>,
     packages: Vec<String>,
     stats: SolverStats,
     // Package-ordered aggregates for O(1) rule pricing.
@@ -117,10 +141,13 @@ impl AbsintSolution {
             .collect();
         let packages: Vec<String> = apps.iter().map(|f| f.package.clone()).collect();
 
+        let (edges, reach) = solve_reach(apps, handlers, max_hops, &mut stats);
+
+        // App indices in package order: the canonical iteration order
+        // that makes every cross-app float aggregation install-order
+        // independent.
         let mut order: Vec<usize> = (0..apps.len()).collect();
         order.sort_by(|&a, &b| packages[a].cmp(&packages[b]));
-
-        let reach = solve_reach(apps, handlers, &order, max_hops, &mut stats);
 
         // Package-ordered aggregate sums: the per-rule prices are
         // sum-minus-own-contribution, so one O(n) pass serves every app.
@@ -159,8 +186,8 @@ impl AbsintSolution {
         AbsintSolution {
             apps: solved,
             pricer: pricer.clone(),
+            edges,
             reach,
-            order,
             packages,
             stats,
             sum_bg_all,
@@ -254,35 +281,40 @@ impl AbsintSolution {
     }
 
     /// Every app reachable from `origin` through implicit-intent hops,
-    /// ordered by `(hops, package)`.
+    /// ordered by `(hops, package)`, app index breaking ties between
+    /// duplicate package names.
     pub fn reachable_from(&self, origin: usize) -> Vec<ReachInfo> {
         let Some(row) = self.reach.get(origin) else {
             return Vec::new();
         };
-        let mut out: Vec<ReachInfo> = Vec::new();
-        for &target in &self.order {
-            if let Some((hops, (_, action, component, kind))) = &row[target] {
-                out.push(ReachInfo {
-                    target,
-                    hops: *hops,
-                    action: action.clone(),
-                    component: component.clone(),
-                    kind: *kind,
-                });
-            }
-        }
+        let mut out: Vec<ReachInfo> = row
+            .iter()
+            .map(|reached| {
+                let edge = &self.edges[reached.edge];
+                ReachInfo {
+                    target: edge.target,
+                    hops: reached.hops,
+                    action: edge.action.clone(),
+                    component: edge.component.clone(),
+                    kind: edge.kind,
+                }
+            })
+            .collect();
         out.sort_by(|a, b| {
-            (a.hops, &self.packages[a.target]).cmp(&(b.hops, &self.packages[b.target]))
+            (a.hops, &self.packages[a.target], a.target).cmp(&(
+                b.hops,
+                &self.packages[b.target],
+                b.target,
+            ))
         });
         out
     }
 
     /// The deepest chain from `origin`, in hops (0 = nothing reachable).
     pub fn max_chain_depth(&self, origin: usize) -> usize {
-        self.reachable_from(origin)
-            .iter()
-            .map(|info| info.hops)
-            .max()
+        self.reach
+            .get(origin)
+            .and_then(|row| row.iter().map(|reached| reached.hops).max())
             .unwrap_or(0)
     }
 
@@ -293,21 +325,23 @@ impl AbsintSolution {
             return None;
         }
         let row = self.reach.get(origin)?;
-        row[target].as_ref()?;
-        // Walk parents back to the origin, then render forward.
-        let mut steps: Vec<(String, usize, String)> = Vec::new();
-        let mut cursor = target;
-        while cursor != origin {
-            let (_, (prev, action, component, _)) = row[cursor].as_ref()?;
-            steps.push((action.clone(), cursor, component.clone()));
-            cursor = *prev;
+        let mut cursor = row
+            .iter()
+            .position(|reached| self.edges[reached.edge].target == target);
+        // Walk the hops back to the origin, then render forward.
+        let mut steps: Vec<&Edge> = Vec::new();
+        while let Some(position) = cursor {
+            steps.push(&self.edges[row[position].edge]);
+            cursor = row[position].via;
         }
-        steps.reverse();
+        if steps.is_empty() {
+            return None;
+        }
         let mut out = self.packages[origin].clone();
-        for (action, app, component) in steps {
+        for edge in steps.iter().rev() {
             out.push_str(&format!(
-                " -[{action}]-> {}/{component}",
-                self.packages[app]
+                " -[{}]-> {}/{}",
+                edge.action, self.packages[edge.target], edge.component
             ));
         }
         Some(out)
@@ -418,80 +452,95 @@ fn vocabulary(facts: &AppFacts) -> Option<BTreeSet<&str>> {
 }
 
 /// Min-hop relaxation from every origin over emission-feasible edges.
+/// Returns the flattened edge list and one row of reached targets per
+/// origin; no rows when there is no handler.
 fn solve_reach(
     apps: &[AppFacts],
     handlers: &BTreeMap<String, Vec<Handler>>,
-    order: &[usize],
     max_hops: usize,
     stats: &mut SolverStats,
-) -> Vec<Vec<Option<(usize, Parent)>>> {
+) -> (Vec<Edge>, Vec<Vec<Reached>>) {
     if handlers.is_empty() {
-        return (0..apps.len()).map(|_| vec![None; apps.len()]).collect();
+        return (Vec::new(), Vec::new());
     }
-    let vocabs: Vec<Option<BTreeSet<&str>>> = apps.iter().map(vocabulary).collect();
-    // Per app, the sorted (action, handler) edges it can emit. Handlers
-    // are re-sorted by (target package, component) so witness selection
-    // is install-order independent.
-    let emit_edges = |app: usize| -> Vec<(&str, &Handler)> {
-        let mut out: Vec<(&str, &Handler)> = Vec::new();
-        match &vocabs[app] {
-            Some(vocab) => {
-                for &action in vocab {
-                    if let Some(hs) = handlers.get(action) {
-                        out.extend(hs.iter().map(|h| (action, h)));
-                    }
-                }
-            }
-            None => {
-                for (action, hs) in handlers {
-                    out.extend(hs.iter().map(|h| (action.as_str(), h)));
-                }
-            }
+    // Edges sorted by (target package, action, component) so witness
+    // selection is install-order independent; the stable sort keeps
+    // handler-index order among ties.
+    let mut edges: Vec<Edge> = handlers
+        .iter()
+        .flat_map(|(action, hs)| {
+            hs.iter().map(move |h| Edge {
+                action: action.clone(),
+                component: h.component.clone(),
+                kind: h.kind,
+                target: h.app,
+            })
+        })
+        .collect();
+    edges.sort_by(|a, b| {
+        (&apps[a.target].package, &a.action, &a.component).cmp(&(
+            &apps[b.target].package,
+            &b.action,
+            &b.component,
+        ))
+    });
+    // Per app, the ascending ids of the edges it can emit, built once;
+    // `None` (⊤ vocabulary) emits every edge.
+    let emits: Vec<Option<Vec<usize>>> = {
+        let mut by_action: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
+        for (id, edge) in edges.iter().enumerate() {
+            by_action.entry(edge.action.as_str()).or_default().push(id);
         }
-        out.sort_by(|(aa, ha), (ab, hb)| {
-            (&apps[ha.app].package, *aa, &ha.component).cmp(&(
-                &apps[hb.app].package,
-                *ab,
-                &hb.component,
-            ))
-        });
-        out
+        apps.iter()
+            .map(|facts| {
+                vocabulary(facts).map(|vocab| {
+                    let mut ids: Vec<usize> = vocab
+                        .iter()
+                        .filter_map(|action| by_action.get(action))
+                        .flatten()
+                        .copied()
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                })
+            })
+            .collect()
     };
+    let every_edge: Vec<usize> = (0..edges.len()).collect();
 
-    let mut reach: Vec<Vec<Option<(usize, Parent)>>> =
-        (0..apps.len()).map(|_| vec![None; apps.len()]).collect();
-    for &origin in order {
-        let mut frontier: Vec<usize> = vec![origin];
+    let mut seen = vec![false; apps.len()];
+    let mut reach: Vec<Vec<Reached>> = Vec::with_capacity(apps.len());
+    for origin in 0..apps.len() {
+        let mut row: Vec<Reached> = Vec::new();
+        // (app, row position of the hop that reached it).
+        let mut frontier: Vec<(usize, Option<usize>)> = vec![(origin, None)];
         let mut hops = 0;
         while !frontier.is_empty() && hops < max_hops {
             hops += 1;
             // Package order within the frontier: the first writer to a
             // target is the lexicographically minimal witness.
-            frontier.sort_by(|&a, &b| apps[a].package.cmp(&apps[b].package));
-            let mut next: Vec<usize> = Vec::new();
-            for &from in &frontier {
-                for (action, handler) in emit_edges(from) {
+            frontier.sort_by(|&(a, _), &(b, _)| apps[a].package.cmp(&apps[b].package));
+            let mut next = Vec::new();
+            for &(from, via) in &frontier {
+                for &edge in emits[from].as_deref().unwrap_or(&every_edge) {
                     stats.reach_relaxations += 1;
-                    let target = handler.app;
-                    if target == origin || reach[origin][target].is_some() {
+                    let target = edges[edge].target;
+                    if target == origin || seen[target] {
                         continue;
                     }
-                    reach[origin][target] = Some((
-                        hops,
-                        (
-                            from,
-                            action.to_string(),
-                            handler.component.clone(),
-                            handler.kind,
-                        ),
-                    ));
-                    next.push(target);
+                    seen[target] = true;
+                    next.push((target, Some(row.len())));
+                    row.push(Reached { hops, edge, via });
                 }
             }
             frontier = next;
         }
+        for reached in &row {
+            seen[edges[reached.edge].target] = false;
+        }
+        reach.push(row);
     }
-    reach
+    (edges, reach)
 }
 
 #[cfg(test)]
@@ -568,6 +617,31 @@ mod tests {
         );
         // C declares only HOP2, which nobody else handles: dead end.
         assert!(solution.reachable_from(2).is_empty());
+    }
+
+    #[test]
+    fn rows_hold_only_reached_targets() {
+        // No handler anywhere: no rows at all.
+        let (_, silent) = solve(&[
+            AppManifest::builder("com.a").activity("Main", true).build(),
+            AppManifest::builder("com.b")
+                .service("Worker", true)
+                .build(),
+        ]);
+        assert!(silent.reach.is_empty());
+        assert!(silent.reachable_from(0).is_empty());
+        assert_eq!(silent.max_chain_depth(1), 0);
+
+        // One handler: only the origins that reach it hold an entry.
+        let (_, single) = solve(&[
+            AppManifest::builder("com.a").build(),
+            AppManifest::builder("com.b")
+                .activity_with_actions("In", true, &["GO"])
+                .build(),
+            AppManifest::builder("com.c").build(),
+        ]);
+        let lengths: Vec<usize> = single.reach.iter().map(Vec::len).collect();
+        assert_eq!(lengths, vec![1, 0, 1]);
     }
 
     #[test]

@@ -41,12 +41,54 @@ pub struct Chain {
     pub second: Handler,
 }
 
+/// One cross-app evidence list: every app's entries, sorted once by the
+/// bytes of their text, so each app reads its foreign entries in O(k)
+/// instead of formatting and sorting every other app's.
+#[derive(Debug)]
+pub(crate) struct EvidenceIndex {
+    /// `(text, owning app)`, ascending by text bytes.
+    entries: Vec<(String, usize)>,
+    /// Entries owned by each app.
+    owned: Vec<usize>,
+}
+
+impl EvidenceIndex {
+    fn new(app_count: usize, mut entries: Vec<(String, usize)>) -> EvidenceIndex {
+        entries.sort_unstable();
+        let mut owned = vec![0; app_count];
+        for &(_, owner) in &entries {
+            owned[owner] += 1;
+        }
+        EvidenceIndex { entries, owned }
+    }
+
+    /// How many entries apps other than `index` own.
+    pub(crate) fn foreign_count(&self, index: usize) -> usize {
+        self.entries.len() - self.owned[index]
+    }
+
+    /// Entries of apps other than `index`, in byte order of their text.
+    pub(crate) fn foreign(&self, index: usize) -> impl Iterator<Item = &str> {
+        self.entries
+            .iter()
+            .filter(move |(_, owner)| *owner != index)
+            .map(|(text, _)| text.as_str())
+    }
+}
+
 /// The cross-app state shared by every rule invocation.
 #[derive(Debug)]
 pub struct LintContext {
     apps: Vec<AppFacts>,
     /// action → exported handlers, ordered by (app, component).
     handlers: BTreeMap<String, Vec<Handler>>,
+    /// Every app's exported activities, as `pkg/name`.
+    pub(crate) exported_activities: EvidenceIndex,
+    /// Every app's exported services, as `pkg/name`.
+    pub(crate) exported_services: EvidenceIndex,
+    /// Every app with background CPU demand, as
+    /// `pkg (background demand X cores)`.
+    pub(crate) draining: EvidenceIndex,
     /// The abstract-interpretation fixpoint over this app set.
     absint: AbsintSolution,
 }
@@ -68,11 +110,39 @@ impl LintContext {
                 }
             }
         }
+        let exported = |kind: ComponentKind| {
+            let entries = apps
+                .iter()
+                .enumerate()
+                .flat_map(|(index, facts)| {
+                    facts
+                        .exported(kind)
+                        .map(move |decl| (format!("{}/{}", facts.package, decl.name), index))
+                })
+                .collect();
+            EvidenceIndex::new(apps.len(), entries)
+        };
+        let exported_activities = exported(ComponentKind::Activity);
+        let exported_services = exported(ComponentKind::Service);
+        let draining = EvidenceIndex::new(
+            apps.len(),
+            apps.iter()
+                .enumerate()
+                .filter_map(|(index, facts)| {
+                    let util = facts.background_util.filter(|&util| util > 0.0)?;
+                    let text = format!("{} (background demand {util:.2} cores)", facts.package);
+                    Some((text, index))
+                })
+                .collect(),
+        );
         let pricer = Pricer::new(DevicePowerModel::nexus4().coefficients());
         let absint = AbsintSolution::solve(&apps, &handlers, &pricer, usize::MAX);
         LintContext {
             apps,
             handlers,
+            exported_activities,
+            exported_services,
+            draining,
             absint,
         }
     }
@@ -90,15 +160,6 @@ impl LintContext {
     /// The full action → exported-handlers index.
     pub fn handler_index(&self) -> &BTreeMap<String, Vec<Handler>> {
         &self.handlers
-    }
-
-    /// Apps other than the one at `index`.
-    pub fn others(&self, index: usize) -> impl Iterator<Item = &AppFacts> {
-        self.apps
-            .iter()
-            .enumerate()
-            .filter(move |(i, _)| *i != index)
-            .map(|(_, facts)| facts)
     }
 
     /// Exported handlers for an implicit `action`, across all apps.

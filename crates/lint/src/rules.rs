@@ -25,7 +25,7 @@ use ea_framework::{AndroidSystem, ComponentKind, Permission, WakelockPolicy};
 use crate::absint::PricedEnvelope;
 use crate::diagnostic::{Diagnostic, RuleId, Severity};
 use crate::facts::AppFacts;
-use crate::flow::LintContext;
+use crate::flow::{EvidenceIndex, LintContext};
 
 /// Cap on listed evidence items; the remainder collapses to `+N more`.
 const EVIDENCE_LIMIT: usize = 3;
@@ -93,6 +93,22 @@ fn clip(mut items: Vec<String>) -> Vec<String> {
     items
 }
 
+/// [`clip`] over the foreign entries of a context-wide evidence list:
+/// they are already sorted, so this only takes the first
+/// [`EVIDENCE_LIMIT`] and counts the rest.
+fn clip_foreign(list: &EvidenceIndex, index: usize) -> Vec<String> {
+    let mut items: Vec<String> = list
+        .foreign(index)
+        .take(EVIDENCE_LIMIT)
+        .map(String::from)
+        .collect();
+    let count = list.foreign_count(index);
+    if count > EVIDENCE_LIMIT {
+        items.push(format!("+{} more", count - EVIDENCE_LIMIT));
+    }
+    items
+}
+
 /// `EA0001`: paper attack #1 — start an exported activity of another app
 /// over and over ("applications can be readily exploited through their
 /// app components").
@@ -108,15 +124,9 @@ impl Rule for ComponentHijackRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let targets: Vec<String> = ctx
-            .others(index)
-            .flat_map(|other| {
-                other
-                    .exported(ComponentKind::Activity)
-                    .map(move |decl| format!("{}/{}", other.package, decl.name))
-            })
-            .collect();
-        if targets.is_empty() {
+        let victims = &ctx.exported_activities;
+        let count = victims.foreign_count(index);
+        if count == 0 {
             return None;
         }
         // Bound: the hottest victim held foreground all day, the rest
@@ -127,11 +137,8 @@ impl Rule for ComponentHijackRule {
             Severity::Info,
             facts,
             vec![AttackKind::ActivityStart],
-            format!(
-                "{} exported activities of other apps are startable from here",
-                targets.len()
-            ),
-            clip(targets),
+            format!("{count} exported activities of other apps are startable from here"),
+            clip_foreign(victims, index),
             envelope,
         ))
     }
@@ -154,22 +161,12 @@ impl Rule for BackgroundSprayRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let neighbors = ctx.others(index).count();
+        let neighbors = ctx.apps().len() - 1;
         if neighbors == 0 {
             return None;
         }
-        let draining: Vec<String> = ctx
-            .others(index)
-            .filter(|other| other.background_util.unwrap_or(0.0) > 0.0)
-            .map(|other| {
-                format!(
-                    "{} (background demand {:.2} cores)",
-                    other.package,
-                    other.background_util.unwrap_or(0.0)
-                )
-            })
-            .collect();
-        let severity = if draining.is_empty() {
+        let draining = &ctx.draining;
+        let severity = if draining.foreign_count(index) == 0 {
             Severity::Info
         } else {
             Severity::Warning
@@ -183,7 +180,7 @@ impl Rule for BackgroundSprayRule {
                 "{neighbors} co-installed app(s) can be pushed to the background \
                  (task reordering needs no permission)"
             ),
-            clip(draining),
+            clip_foreign(draining, index),
             // Bound: every co-installed app displaced into its background
             // envelope at once.
             ctx.absint().spray_envelope(index),
@@ -205,15 +202,9 @@ impl Rule for ServiceTetherRule {
     }
 
     fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let targets: Vec<String> = ctx
-            .others(index)
-            .flat_map(|other| {
-                other
-                    .exported(ComponentKind::Service)
-                    .map(move |decl| format!("{}/{}", other.package, decl.name))
-            })
-            .collect();
-        if targets.is_empty() {
+        let victims = &ctx.exported_services;
+        let count = victims.foreign_count(index);
+        if count == 0 {
             return None;
         }
         Some(diagnostic(
@@ -221,11 +212,8 @@ impl Rule for ServiceTetherRule {
             Severity::Warning,
             facts,
             vec![AttackKind::ServiceBind, AttackKind::ServiceStart],
-            format!(
-                "{} exported services of other apps are bindable from here",
-                targets.len()
-            ),
-            clip(targets),
+            format!("{count} exported services of other apps are bindable from here"),
+            clip_foreign(victims, index),
             // Bound: every foreign exported service bound concurrently.
             ctx.absint().tether_envelope(index),
         ))

@@ -12,7 +12,7 @@ use ea_framework::{
     WakelockPolicy,
 };
 use ea_lint::soundness::{check_quantitative, check_superset, observed_attacks};
-use ea_lint::Linter;
+use ea_lint::{default_rules, AppFacts, LintContext, Linter, RuleId};
 use ea_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -240,5 +240,152 @@ proptest! {
             "static bounds undershot measured collateral: {:?}",
             undershoots
         );
+    }
+}
+
+/// Package names with nested prefixes: `'.'` sorts before `'/'`, so
+/// `com.a.b/X` must precede `com.a/Y` in evidence.
+const PACKAGES: [&str; 5] = ["com.a", "com.a.b", "com.ab", "com.a.b.c", "org.z"];
+const NAMES: [&str; 4] = ["Main", "A", "b", "Z"];
+
+/// One generated app for the evidence oracle: a package drawn from
+/// [`PACKAGES`] (so duplicates occur), `(is service, name, exported)`
+/// components (possibly none), and an optional background demand.
+#[derive(Debug, Clone)]
+struct EvidenceSpec {
+    package: usize,
+    components: Vec<(bool, usize, bool)>,
+    background_util: Option<f64>,
+}
+
+fn evidence_spec() -> impl Strategy<Value = EvidenceSpec> {
+    (
+        0..PACKAGES.len(),
+        proptest::collection::vec((any::<bool>(), 0..NAMES.len(), any::<bool>()), 0..4),
+        proptest::option::of(prop_oneof![Just(0.0), 0.0f64..2.0]),
+    )
+        .prop_map(|(package, components, background_util)| EvidenceSpec {
+            package,
+            components,
+            background_util,
+        })
+}
+
+fn facts_of(spec: &EvidenceSpec) -> AppFacts {
+    let mut builder = AppManifest::builder(PACKAGES[spec.package]);
+    for &(service, name, exported) in &spec.components {
+        builder = if service {
+            builder.service(NAMES[name], exported)
+        } else {
+            builder.activity(NAMES[name], exported)
+        };
+    }
+    let mut facts = AppFacts::from_manifest(&builder.build());
+    facts.background_util = spec.background_util;
+    facts
+}
+
+/// The naive evidence code: every app formats and sorts every other
+/// app's entries.
+mod oracle {
+    use ea_framework::ComponentKind;
+    use ea_lint::AppFacts;
+
+    fn clip(mut items: Vec<String>) -> Vec<String> {
+        items.sort_unstable();
+        if items.len() > 3 {
+            let extra = items.len() - 3;
+            items.truncate(3);
+            items.push(format!("+{extra} more"));
+        }
+        items
+    }
+
+    fn others(apps: &[AppFacts], index: usize) -> impl Iterator<Item = &AppFacts> {
+        apps.iter()
+            .enumerate()
+            .filter(move |(i, _)| *i != index)
+            .map(|(_, facts)| facts)
+    }
+
+    fn exported(apps: &[AppFacts], index: usize, kind: ComponentKind) -> Vec<String> {
+        others(apps, index)
+            .flat_map(|other| {
+                other
+                    .exported(kind)
+                    .map(move |decl| format!("{}/{}", other.package, decl.name))
+            })
+            .collect()
+    }
+
+    /// `(message, evidence)` of EA0001, EA0002 and EA0003 for app `index`.
+    pub fn evidence(apps: &[AppFacts], index: usize) -> [Option<(String, Vec<String>)>; 3] {
+        let activities = exported(apps, index, ComponentKind::Activity);
+        let hijack = (!activities.is_empty()).then(|| {
+            (
+                format!(
+                    "{} exported activities of other apps are startable from here",
+                    activities.len()
+                ),
+                clip(activities),
+            )
+        });
+        let neighbors = others(apps, index).count();
+        let draining: Vec<String> = others(apps, index)
+            .filter(|other| other.background_util.unwrap_or(0.0) > 0.0)
+            .map(|other| {
+                format!(
+                    "{} (background demand {:.2} cores)",
+                    other.package,
+                    other.background_util.unwrap_or(0.0)
+                )
+            })
+            .collect();
+        let spray = (neighbors > 0).then(|| {
+            (
+                format!(
+                    "{neighbors} co-installed app(s) can be pushed to the background \
+                     (task reordering needs no permission)"
+                ),
+                clip(draining),
+            )
+        });
+        let services = exported(apps, index, ComponentKind::Service);
+        let tether = (!services.is_empty()).then(|| {
+            (
+                format!(
+                    "{} exported services of other apps are bindable from here",
+                    services.len()
+                ),
+                clip(services),
+            )
+        });
+        [hijack, spray, tether]
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn cross_app_evidence_matches_the_naive_oracle(
+        specs in proptest::collection::vec(evidence_spec(), 1..10),
+    ) {
+        let ctx = LintContext::new(specs.iter().map(facts_of).collect());
+        let rules = default_rules();
+        let ids: Vec<RuleId> = rules[..3].iter().map(|rule| rule.id()).collect();
+        prop_assert_eq!(
+            ids,
+            vec![RuleId::ComponentHijack, RuleId::BackgroundSpray, RuleId::ServiceTether]
+        );
+        for (index, facts) in ctx.apps().iter().enumerate() {
+            let expected = oracle::evidence(ctx.apps(), index);
+            for (rule, expected) in rules.iter().zip(expected) {
+                let got = rule
+                    .check(index, facts, &ctx)
+                    .map(|diag| (diag.message, diag.evidence));
+                prop_assert_eq!(got, expected, "{:?} for app {}", rule.id(), index);
+            }
+        }
     }
 }

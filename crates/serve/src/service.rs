@@ -77,6 +77,10 @@ const MAX_LINE_BYTES: usize = 4096;
 /// that sent nothing for a whole period is closed.
 const IDLE_PERIOD: Duration = Duration::from_secs(1);
 
+/// A connection's write timeout. A client that reads none of its
+/// replies for this long, once they fill the socket buffer, is closed.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Live query connections served at once; one more is refused.
 const MAX_CONNECTIONS: usize = 64;
 
@@ -469,14 +473,18 @@ fn compact_report_json(report: &FleetReport) -> String {
 }
 
 /// Serves one socket connection: line-delimited JSON requests, one JSON
-/// line per response. A request that has arrived is always answered;
-/// the connection closes at end of input, on an over-long line, or when
-/// the run is stopping and the client stays silent for an idle period.
+/// line per response. A request that has arrived is always answered
+/// unless its reply cannot be written within [`WRITE_TIMEOUT`]; the
+/// connection closes then, at end of input, on an over-long line, or
+/// when the run is stopping and the client stays silent for an idle
+/// period.
 fn serve_connection(stream: UnixStream, shared: &ServerShared<'_>) {
     let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    if stream.set_read_timeout(Some(IDLE_PERIOD)).is_err() {
+    if stream.set_read_timeout(Some(IDLE_PERIOD)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
         return;
     }
     let mut reader = BufReader::new(stream);

@@ -62,8 +62,9 @@ COMMANDS:
     antutu                  run the Figure 11 parity benchmark
     lint [demo|corpus]      static collateral-energy analysis (rules EA0001-EA0009)
         --json                     emit the report as JSON (schema v2)
-        --baseline <report.json>   diff against a saved JSON report; exit
-                                   non-zero iff new findings are introduced
+        --baseline <report.json>   diff against a saved JSON report; exit 1
+                                   iff new findings are introduced, exit 2
+                                   if the baseline is unreadable or malformed
         --rules                    list the rule registry and exit
         --seed N                   corpus RNG seed (default 2017)
         --size N                   corpus size (default 1124)
@@ -896,21 +897,22 @@ fn cmd_lint(args: &[&str]) -> ExitCode {
     };
 
     // Revision-regression mode: diff against a saved schema-v2 JSON
-    // report. Introduced findings are regressions and fail the exit code;
-    // identical inputs diff clean and exit zero.
+    // report. Introduced findings are regressions and exit 1; identical
+    // inputs diff clean and exit 0. A baseline that cannot be read or
+    // parsed exits 2, so CI can tell it from a regression.
     if let Some(path) = flag_value(args, "--baseline") {
         let baseline_text = match std::fs::read_to_string(path) {
             Ok(text) => text,
             Err(err) => {
                 eprintln!("cannot read baseline {path}: {err}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         };
         let baseline = match render::parse_json(&baseline_text) {
             Ok(parsed) => parsed,
             Err(err) => {
                 eprintln!("invalid baseline {path}: {err}");
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         };
         let diff = BaselineDiff::compare(&baseline, &render::json_report(&report));

@@ -2,8 +2,8 @@
 //! stream-replayed report is byte-identical to the batch oracle at any
 //! lane/job count (including under fault plans), the socket query
 //! surface answers mid-run with valid schema-tagged JSON, and no client
-//! (idle, newline-less or one too many) can wedge the run or grow the
-//! server's memory.
+//! (idle, never reading, newline-less or one too many) can wedge the run
+//! or grow the server's memory.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::os::unix::net::UnixStream;
@@ -267,6 +267,34 @@ fn idle_client_cannot_keep_a_drained_run_alive() {
     let mut idle = connect_served(&socket);
     assert_eq!(finished(&run).devices_completed, 16);
     assert_closed(&mut idle);
+}
+
+/// A client that sends `snapshot` and `report` requests but never reads
+/// the replies cannot keep the run alive: once the replies fill the
+/// socket buffer, the server's write times out and it closes the
+/// connection.
+#[test]
+fn client_that_never_reads_cannot_keep_the_run_alive() {
+    let socket = test_socket("deaf");
+    let run = spawn_serve(ServeConfig {
+        lanes: 1,
+        socket: Some(socket.clone()),
+        ..ServeConfig::new(FleetConfig::smoke(16, 2_718))
+    });
+    let deaf = connect_served(&socket);
+    let mut writer = deaf
+        .get_ref()
+        .try_clone()
+        .unwrap_or_else(|error| panic!("clone the client socket: {error}"));
+    writer
+        .set_write_timeout(Some(Duration::from_secs(5)))
+        .unwrap_or_else(|error| panic!("set the client write timeout: {error}"));
+    // Megabytes of replies, far more than a socket buffer holds.
+    writer
+        .write_all("snapshot\nreport\n".repeat(2_000).as_bytes())
+        .unwrap_or_else(|error| panic!("send the requests: {error}"));
+    assert_eq!(finished(&run).devices_completed, 16);
+    drop(deaf);
 }
 
 /// With `hold`, a `shutdown` from a second connection ends the run while

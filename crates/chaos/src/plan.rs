@@ -118,6 +118,43 @@ impl FaultRates {
     pub fn is_zero(&self) -> bool {
         *self == FaultRates::ZERO
     }
+
+    /// Every rate with its field name, in declaration order.
+    #[must_use]
+    pub fn named(&self) -> [(&'static str, f64); 14] {
+        [
+            ("counter_reset", self.counter_reset),
+            ("counter_backward", self.counter_backward),
+            ("counter_stuck", self.counter_stuck),
+            ("counter_overflow", self.counter_overflow),
+            ("binder_failure", self.binder_failure),
+            ("intent_drop", self.intent_drop),
+            ("intent_duplicate", self.intent_duplicate),
+            ("wakelock_release_lost", self.wakelock_release_lost),
+            ("clock_skew", self.clock_skew),
+            ("event_reorder", self.event_reorder),
+            ("sched_hiccup", self.sched_hiccup),
+            ("device_panic", self.device_panic),
+            ("slow_device", self.slow_device),
+            ("corpus_poison", self.corpus_poison),
+        ]
+    }
+
+    /// Checks that every rate is a finite chance in `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field out of range.
+    pub fn validate(&self) -> Result<(), String> {
+        match self
+            .named()
+            .into_iter()
+            .find(|(_, rate)| !(0.0..=1.0).contains(rate))
+        {
+            Some((name, rate)) => Err(format!("fault rate {name} = {rate} is outside [0, 1]")),
+            None => Ok(()),
+        }
+    }
 }
 
 /// A seeded fault plan: the rates plus the seed every injector stream is
@@ -189,7 +226,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a human-readable message when the spec is neither a rate in
-    /// `[0, 1]` nor a readable plan file.
+    /// `[0, 1]` nor a readable plan file whose every rate is in `[0, 1]`.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
         if let Ok(rate) = spec.parse::<f64>() {
             if !(0.0..=1.0).contains(&rate) {
@@ -199,7 +236,12 @@ impl FaultPlan {
         }
         let text = std::fs::read_to_string(spec)
             .map_err(|error| format!("cannot read fault plan {spec}: {error}"))?;
-        serde_json::from_str(&text).map_err(|error| format!("bad fault plan {spec}: {error}"))
+        let plan: FaultPlan = serde_json::from_str(&text)
+            .map_err(|error| format!("bad fault plan {spec}: {error}"))?;
+        plan.rates
+            .validate()
+            .map_err(|error| format!("bad fault plan {spec}: {error}"))?;
+        Ok(plan)
     }
 
     /// The kernel-counter injector for `lane` (a device index or scenario
@@ -290,6 +332,19 @@ mod tests {
         let parsed = FaultPlan::parse(path.to_str().expect("utf-8 temp path"), 0);
         let _ = std::fs::remove_file(&path);
         parsed
+    }
+
+    #[test]
+    fn plan_file_rates_outside_the_unit_interval_are_refused() {
+        for (name, text) in [
+            ("panic.json", r#"{"seed":1,"rates":{"device_panic":5.0}}"#),
+            ("skew.json", r#"{"seed":1,"rates":{"clock_skew":1e308}}"#),
+            ("drop.json", r#"{"seed":1,"rates":{"intent_drop":-0.5}}"#),
+        ] {
+            let error = parse_plan_file(name, text).expect_err(text);
+            let field = text.split('"').nth(5).expect("field name");
+            assert!(error.contains(field), "{error} does not name {field}");
+        }
     }
 
     #[test]

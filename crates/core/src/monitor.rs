@@ -202,11 +202,22 @@ impl CollateralMonitor {
         let mut consumers = std::mem::take(&mut self.consumers_scratch);
         for draw in draws {
             collateral_consumers_into(draw, dt, &mut consumers);
-            for &(entity, energy) in &consumers {
-                self.graph.accrue(entity, energy);
-            }
+            self.accrue_consumers(&consumers);
         }
         self.consumers_scratch = consumers;
+    }
+
+    /// [`accrue`](Self::accrue) with the draws already split into
+    /// consumer energies by
+    /// [`collateral_consumers_into`](crate::collateral_consumers_into),
+    /// in draw order: the form a step that replays its draws uses.
+    pub(crate) fn accrue_consumers(&mut self, consumers: &[(Entity, Energy)]) {
+        if !self.graph.any_live_links() {
+            return;
+        }
+        for &(entity, energy) in consumers {
+            self.graph.accrue(entity, energy);
+        }
     }
 
     /// The collateral energy maps.

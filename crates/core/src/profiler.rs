@@ -11,7 +11,7 @@ use ea_telemetry::{span, SinkHandle, TelemetryEvent, TelemetrySink};
 
 use ea_power::Component;
 
-use crate::accounting::{attribute, attribute_into};
+use crate::accounting::{attribute, attribute_into, collateral_consumers_into};
 use crate::{
     CollateralGraph, CollateralMonitor, EnergyLedger, Entity, ProfilerChaos, RoutineLedger,
     ScreenPolicy,
@@ -61,12 +61,12 @@ pub struct Profiler {
     /// a concrete type (no sink virtual call) so metrics-on stays at the
     /// step benchmark's noise floor.
     metrics: Option<Box<ProfilerMetrics>>,
+    /// What the last recomputed step derived from the device's usage,
+    /// replayed while the usage holds still.
+    plan: StepPlan,
     /// Scratch buffers recycled across steps so a steady-state tick makes
     /// no heap allocations on the optimized path.
     events_scratch: Vec<TimedEvent>,
-    usage_scratch: DeviceUsage,
-    draws_scratch: Vec<ComponentDraw>,
-    charges_scratch: Vec<(Entity, Energy)>,
     /// Per-interval per-app charge accumulator (telemetry only).
     interval_charges_scratch: Vec<(ea_sim::Uid, f64)>,
     /// Staged telemetry events, flushed to the sink once per traced step.
@@ -93,10 +93,8 @@ impl Profiler {
             reference: false,
             chaos: None,
             metrics: None,
+            plan: StepPlan::default(),
             events_scratch: Vec::new(),
-            usage_scratch: DeviceUsage::idle(),
-            draws_scratch: Vec::new(),
-            charges_scratch: Vec::new(),
             interval_charges_scratch: Vec::new(),
             staged_events: Vec::new(),
         }
@@ -114,6 +112,7 @@ impl Profiler {
     /// Replaces the hardware model (default: Nexus 4 calibration).
     pub fn with_model(mut self, model: DevicePowerModel) -> Self {
         self.model = model;
+        self.plan.epoch = None;
         self
     }
 
@@ -127,6 +126,7 @@ impl Profiler {
     pub fn with_step(mut self, step: SimDuration) -> Self {
         assert!(!step.is_zero(), "integration step must be positive");
         self.step = step;
+        self.plan.epoch = None;
         self
     }
 
@@ -246,13 +246,20 @@ impl Profiler {
     /// Advances the handset by one integration step and accounts the
     /// interval.
     ///
-    /// The optimized path (default) recycles scratch buffers for events,
-    /// the usage snapshot, the component draws, and the attribution split,
-    /// so a steady-state step touches the allocator zero times; with no
-    /// telemetry sink attached, no event payloads, timestamps, or spans are
-    /// constructed at all. [`with_reference_accounting`] switches to the
-    /// original allocating step for baseline comparison.
+    /// The optimized path (default) keeps a step plan: the usage snapshot,
+    /// the component draws, and every draw's attribution charges and
+    /// collateral consumers from the last step that recomputed them.
+    /// While the framework's [`usage_epoch`] and the radios' outputs hold
+    /// still the step replays the plan, applying the same float adds in
+    /// the same order, and it rebuilds the plan on the first step where
+    /// either moves. Attached chaos rewrites the draws, so a faulted
+    /// profiler rebuilds every step. A steady-state step touches the
+    /// allocator zero times; with no telemetry sink attached, no event
+    /// payloads, timestamps, or spans are constructed at all.
+    /// [`with_reference_accounting`] switches to the original allocating
+    /// step for baseline comparison.
     ///
+    /// [`usage_epoch`]: AndroidSystem::usage_epoch
     /// [`with_reference_accounting`]: Profiler::with_reference_accounting
     pub fn step(&mut self, android: &mut AndroidSystem) {
         if self.reference {
@@ -267,25 +274,34 @@ impl Profiler {
             let _observe_span = traced.then(|| span(self.telemetry.sink(), "collateral_observe"));
             monitor.observe(&self.events_scratch);
         }
-        android.usage_snapshot_into(&mut self.usage_scratch);
-        self.model
-            .draws_into(android.now(), &self.usage_scratch, &mut self.draws_scratch);
+        let now = android.now();
+        let epoch = android.usage_epoch();
+        let plan = &mut self.plan;
+        // The radios observe every step, replayed or not, so their tails
+        // expire on sim time.
+        let replay = plan.epoch == Some(epoch) && !self.model.observe_radios(now, &plan.usage);
+        if replay {
+            #[cfg(debug_assertions)]
+            plan.assert_current(android, &mut self.model, dt, self.policy);
+        } else {
+            android.usage_snapshot_into(&mut plan.usage);
+            self.model.draws_into(now, &plan.usage, &mut plan.draws);
+        }
         let drained_before = self.battery.drained();
         // Chaos pre-pass: drains the battery with true energy and rescales
         // glitched draws to their sanitized values, so the loop below must
-        // not drain again.
+        // not drain again, and the plan must not be replayed.
         let predrained = match &mut self.chaos {
             Some(chaos) => {
-                chaos.apply(
-                    &mut self.draws_scratch,
-                    dt,
-                    &mut self.battery,
-                    &self.telemetry,
-                );
+                chaos.apply(&mut plan.draws, dt, &mut self.battery, &self.telemetry);
                 true
             }
             None => false,
         };
+        if !replay {
+            plan.derive_from_draws(dt, self.policy);
+            plan.epoch = (!predrained).then_some(epoch);
+        }
         // Per-app charge this interval, summed over components (telemetry
         // only; the ledger keeps the per-component split).
         let mut interval_charges = std::mem::take(&mut self.interval_charges_scratch);
@@ -293,15 +309,13 @@ impl Profiler {
         {
             let _attribute_span = traced.then(|| span(self.telemetry.sink(), "attribute"));
             let attribute_started = traced.then(std::time::Instant::now);
-            let mut charges = std::mem::take(&mut self.charges_scratch);
-            for draw in &self.draws_scratch {
-                let energy = Energy::from_power(draw.power_mw, dt);
+            let mut first = 0;
+            for (draw, &(energy, end)) in plan.draws.iter().zip(&plan.spans) {
                 self.integrated += energy;
                 if !predrained {
                     let _ = self.battery.drain(energy);
                 }
-                attribute_into(draw, dt, self.policy, &mut charges);
-                for &(entity, charge) in &charges {
+                for &(entity, charge) in &plan.charges[first..end] {
                     if traced {
                         if let Some(uid) = entity.uid() {
                             match interval_charges.iter_mut().find(|(u, _)| *u == uid) {
@@ -312,6 +326,7 @@ impl Profiler {
                     }
                     self.ledger.charge(entity, draw.component, charge);
                 }
+                first = end;
                 // Routine-level split of each app's CPU energy.
                 if draw.component == Component::Cpu {
                     if let Some(routines) = &mut self.routines {
@@ -323,7 +338,6 @@ impl Profiler {
                     }
                 }
             }
-            self.charges_scratch = charges;
             if let Some(started) = attribute_started {
                 self.telemetry.observe(
                     "attribution_interval_us",
@@ -332,12 +346,12 @@ impl Profiler {
             }
         }
         if let Some(monitor) = &mut self.monitor {
-            monitor.accrue(&self.draws_scratch, dt);
+            monitor.accrue_consumers(&plan.consumers);
         }
         if let Some(metrics) = &mut self.metrics {
             let drained = self.battery.drained();
             metrics.on_step(
-                android.now().as_millis() * 1_000,
+                now.as_millis() * 1_000,
                 (drained - drained_before).as_joules(),
                 drained.as_joules(),
             );
@@ -508,6 +522,76 @@ impl Profiler {
     }
 }
 
+/// What the last recomputed step derived from the device's usage: the
+/// snapshot, the component draws, each draw's energy and attribution
+/// charges, and the collateral consumers' energies. All of it is a
+/// function of the usage and the radios' outputs (the step and the policy
+/// are fixed per profiler), so a step may replay it while neither moves.
+#[derive(Debug, Default)]
+struct StepPlan {
+    /// The usage epoch the plan was built at; `None` when it must not be
+    /// replayed (not built yet, or chaos rewrote its draws).
+    epoch: Option<u64>,
+    usage: DeviceUsage,
+    draws: Vec<ComponentDraw>,
+    /// Per draw, in draw order: its interval energy and the end of its
+    /// charges in `charges` (each draw's run starts where the last ended).
+    spans: Vec<(Energy, usize)>,
+    charges: Vec<(Entity, Energy)>,
+    /// Every draw's collateral consumers, in draw order.
+    consumers: Vec<(Entity, Energy)>,
+    /// Attribution scratch, recycled across rebuilds.
+    scratch: Vec<(Entity, Energy)>,
+}
+
+impl StepPlan {
+    /// Recomputes `spans`, `charges` and `consumers` from `draws`.
+    fn derive_from_draws(&mut self, dt: SimDuration, policy: ScreenPolicy) {
+        self.spans.clear();
+        self.charges.clear();
+        self.consumers.clear();
+        for draw in &self.draws {
+            attribute_into(draw, dt, policy, &mut self.scratch);
+            self.charges.extend_from_slice(&self.scratch);
+            self.spans
+                .push((Energy::from_power(draw.power_mw, dt), self.charges.len()));
+            collateral_consumers_into(draw, dt, &mut self.scratch);
+            self.consumers.extend_from_slice(&self.scratch);
+        }
+    }
+
+    /// The debug-build oracle on every replayed step: recomputes the
+    /// snapshot, the draws, the charges and the consumers from scratch and
+    /// asserts the plan still equals them.
+    #[cfg(debug_assertions)]
+    fn assert_current(
+        &self,
+        android: &AndroidSystem,
+        model: &mut DevicePowerModel,
+        dt: SimDuration,
+        policy: ScreenPolicy,
+    ) {
+        let mut fresh = StepPlan {
+            usage: android.usage_snapshot(),
+            ..StepPlan::default()
+        };
+        assert_eq!(
+            fresh.usage, self.usage,
+            "usage snapshot changed without a usage_epoch bump"
+        );
+        // Observing the radios again at the same instant is idempotent.
+        fresh.draws = model.draws(android.now(), &fresh.usage);
+        assert_eq!(
+            fresh.draws, self.draws,
+            "draws changed under a replayed plan"
+        );
+        fresh.derive_from_draws(dt, policy);
+        assert_eq!(fresh.spans, self.spans);
+        assert_eq!(fresh.charges, self.charges);
+        assert_eq!(fresh.consumers, self.consumers);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,6 +649,29 @@ mod tests {
             "a is charged for b's energy while the attack period is open"
         );
         assert!(graph.collateral_total(b).is_zero());
+    }
+
+    #[test]
+    fn quiet_steps_replay_the_plan_and_chaos_never_does() {
+        let mut android = AndroidSystem::new();
+        android.install(manifest("com.a"));
+        android.user_launch("com.a").unwrap();
+        let mut quiet = Profiler::eandroid(ScreenPolicy::SeparateEntity);
+        let mut faulted = Profiler::eandroid(ScreenPolicy::SeparateEntity)
+            .with_chaos(ea_chaos::FaultPlan::zero(1).power_faults(0));
+        quiet.step(&mut android);
+        let epoch = android.usage_epoch();
+        assert_eq!(quiet.plan.epoch, Some(epoch), "built at the current epoch");
+        quiet.step(&mut android);
+        assert_eq!(android.usage_epoch(), epoch, "nothing moved");
+        assert_eq!(quiet.plan.epoch, Some(epoch), "so the step replayed");
+
+        android.set_audio(android.uid_of("com.a").unwrap(), true);
+        quiet.step(&mut android);
+        assert_ne!(quiet.plan.epoch, Some(epoch), "a usage write rebuilds");
+
+        faulted.step(&mut android);
+        assert_eq!(faulted.plan.epoch, None, "chaos rewrites draws");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! the [`FrameworkEvent`]s that E-Android's monitor consumes.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -30,6 +31,16 @@ use crate::{
 /// Packages installed as system apps at boot. E-Android excludes these from
 /// the collateral attack list but still logs their events as chain links.
 pub const SYSTEM_PACKAGES: [&str; 3] = ["android.launcher", "android.systemui", "android.resolver"];
+
+/// The process-wide source of usage epochs: every bump draws a value no
+/// other system, and no earlier state of this one, has carried. `Relaxed`
+/// suffices: the counter publishes no other data, and `fetch_add` alone
+/// makes every value unique.
+static NEXT_USAGE_EPOCH: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_usage_epoch() -> u64 {
+    NEXT_USAGE_EPOCH.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Result of `start_activity` for implicit intents that need the chooser.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,6 +184,9 @@ pub struct AndroidSystem {
     last_fault_sweep: SimTime,
     /// The lifecycle intent core (reducer + log).
     lifecycle: Box<LifecycleCore>,
+    /// Bumped at every write a usage snapshot reads; see
+    /// [`AndroidSystem::usage_epoch`].
+    usage_epoch: u64,
 }
 
 impl AndroidSystem {
@@ -217,6 +231,7 @@ impl AndroidSystem {
             deferred_death_locks: EventQueue::new(),
             last_fault_sweep: SimTime::ZERO,
             lifecycle: Box::new(LifecycleCore::new()),
+            usage_epoch: fresh_usage_epoch(),
         };
         system.install_system_app(Uid::from_raw(1_001), SYSTEM_PACKAGES[0]);
         system.install_system_app(Uid::from_raw(1_002), SYSTEM_PACKAGES[1]);
@@ -245,6 +260,7 @@ impl AndroidSystem {
                 extra_demand: 0.0,
             },
         );
+        self.touch_usage();
         self.packages.insert(package.to_string(), uid);
     }
 
@@ -451,6 +467,7 @@ impl AndroidSystem {
     pub fn user_press_back(&mut self) {
         self.note_user_activity();
         if let Some(top) = self.stack.pop() {
+            self.touch_usage();
             self.destroy_activity(top);
             self.refresh_foreground(ForegroundCause::BackNavigation);
             self.recompute_demands();
@@ -529,6 +546,7 @@ impl AndroidSystem {
             }
         }
         self.stack.move_to_front(id);
+        self.touch_usage();
         self.transition_activity(id, ActivityState::Resumed);
         self.emit(FrameworkEvent::ActivityMovedToFront { source, uid });
         if let (ChangeSource::App(interrupter), Some(victim)) = (source, previous) {
@@ -603,6 +621,7 @@ impl AndroidSystem {
                 component: component.to_string(),
             })?;
         self.stack.remove(id);
+        self.touch_usage();
         self.destroy_activity(id);
         self.refresh_foreground(ForegroundCause::BackNavigation);
         self.recompute_demands();
@@ -621,6 +640,7 @@ impl AndroidSystem {
             .collect();
         for id in ids {
             self.stack.remove(id);
+            self.touch_usage();
             self.destroy_activity(id);
         }
         self.refresh_foreground(ForegroundCause::BackNavigation);
@@ -642,6 +662,7 @@ impl AndroidSystem {
             .kill(pid, now)
             .map_err(|_| FrameworkError::NoSuchApp(uid))?;
         self.sched.remove(pid);
+        self.touch_usage();
 
         // Kernel side: death notices reach Binder, which fires death links.
         let deaths = self.processes.drain_deaths();
@@ -683,6 +704,7 @@ impl AndroidSystem {
             .collect();
         for id in ids {
             self.stack.remove(id);
+            self.touch_usage();
             self.destroy_activity(id);
         }
         // Services of the app die with the process.
@@ -732,6 +754,7 @@ impl AndroidSystem {
         self.gps.remove(&uid);
         self.wifi.remove(&uid);
         self.cellular.remove(&uid);
+        self.touch_usage();
 
         self.emit(FrameworkEvent::ProcessDied { uid });
         self.refresh_foreground(ForegroundCause::ProcessDeath);
@@ -910,6 +933,7 @@ impl AndroidSystem {
             },
         );
         self.stack.push(id);
+        self.touch_usage();
         self.surfaceflinger.add_surface();
         // A launch implies the user (or app) woke the device.
         if !self.screen_on {
@@ -1275,6 +1299,7 @@ impl AndroidSystem {
             self.record_ipc(caller, Uid::SYSTEM, TransactionKind::WriteSetting);
         }
         let (old, new) = self.settings.write_brightness(value);
+        self.touch_usage();
         if old != new {
             self.emit(FrameworkEvent::BrightnessChanged { source, old, new });
         }
@@ -1303,6 +1328,7 @@ impl AndroidSystem {
             return Ok(());
         }
         let (old, new) = self.settings.set_mode(mode);
+        self.touch_usage();
         self.emit(FrameworkEvent::BrightnessModeChanged {
             source,
             to_manual: manual,
@@ -1315,6 +1341,7 @@ impl AndroidSystem {
     /// The ambient-light algorithm updates the automatic value.
     pub fn ambient_brightness(&mut self, value: u8) {
         let (old, new) = self.settings.set_auto_value(value);
+        self.touch_usage();
         if old != new {
             self.emit(FrameworkEvent::BrightnessChanged {
                 source: ChangeSource::System,
@@ -1355,12 +1382,14 @@ impl AndroidSystem {
         }
         self.ensure_process(uid);
         self.camera = Some(CameraUse { uid, recording });
+        self.touch_usage();
         Ok(())
     }
 
     /// Closes the camera if `uid` holds it.
     pub fn camera_stop(&mut self, uid: Uid) {
         self.camera = self.camera.filter(|camera_use| camera_use.uid != uid);
+        self.touch_usage();
     }
 
     /// Starts/stops audio playback for `uid`.
@@ -1371,6 +1400,7 @@ impl AndroidSystem {
         } else {
             self.audio.remove(&uid);
         }
+        self.touch_usage();
     }
 
     /// Grabs/releases a GPS session for `uid`.
@@ -1381,12 +1411,14 @@ impl AndroidSystem {
         } else {
             self.gps.remove(&uid);
         }
+        self.touch_usage();
     }
 
     /// Sets the average luminance of the rendered frame, `[0, 1]` — the
     /// content fact OLED panel models consume (dark themes draw less).
     pub fn set_screen_content_luma(&mut self, luma: f64) {
         self.screen_luma = luma.clamp(0.0, 1.0);
+        self.touch_usage();
     }
 
     /// Sets `uid`'s WiFi throughput (0 stops traffic).
@@ -1397,6 +1429,7 @@ impl AndroidSystem {
         } else {
             self.wifi.remove(&uid);
         }
+        self.touch_usage();
     }
 
     /// Sets `uid`'s cellular throughput (0 stops traffic).
@@ -1407,6 +1440,7 @@ impl AndroidSystem {
         } else {
             self.cellular.remove(&uid);
         }
+        self.touch_usage();
     }
 
     /// Adds scripted CPU demand on top of the behaviour profile (e.g. the
@@ -1535,6 +1569,7 @@ impl AndroidSystem {
             return;
         }
         self.screen_on = on;
+        self.touch_usage();
         if on {
             self.emit(FrameworkEvent::ScreenTurnedOn);
             if let Some(top) = self.stack.top() {
@@ -1713,6 +1748,20 @@ impl AndroidSystem {
         parts
     }
 
+    /// A value that changes at every write a [`usage_snapshot`] reads:
+    /// scheduler demands, process spawns and kills, the screen, the
+    /// brightness settings, content luma, camera, audio, GPS, WiFi and
+    /// cellular, the activity stack and activity states, and every
+    /// emitted framework event. While it holds still the snapshot does
+    /// too, so a consumer may keep what it derived from the last one.
+    /// Values come from a process-wide counter, so no two systems ever
+    /// report the same epoch.
+    ///
+    /// [`usage_snapshot`]: AndroidSystem::usage_snapshot
+    pub fn usage_epoch(&self) -> u64 {
+        self.usage_epoch
+    }
+
     /// Builds the current [`DeviceUsage`] snapshot for the power model.
     pub fn usage_snapshot(&self) -> DeviceUsage {
         let mut usage = DeviceUsage::idle();
@@ -1767,7 +1816,16 @@ impl AndroidSystem {
     // Internals
     // ------------------------------------------------------------------
 
+    /// Marks the usage snapshot stale: the next [`usage_epoch`] differs
+    /// from every earlier one.
+    ///
+    /// [`usage_epoch`]: AndroidSystem::usage_epoch
+    fn touch_usage(&mut self) {
+        self.usage_epoch = fresh_usage_epoch();
+    }
+
     fn emit(&mut self, event: FrameworkEvent) {
+        self.touch_usage();
         self.observe_intent(&event);
         if self.telemetry.enabled() {
             self.telemetry.record_event(
@@ -1971,6 +2029,7 @@ impl AndroidSystem {
             if let Some(app) = self.apps.get_mut(&uid) {
                 app.pid = Some(pid);
             }
+            self.touch_usage();
         }
     }
 
@@ -1997,6 +2056,7 @@ impl AndroidSystem {
         record.state = state;
         let uid = record.uid;
         let component = record.component.clone();
+        self.touch_usage();
         self.emit(FrameworkEvent::ActivityLifecycle {
             uid,
             component,
@@ -2059,6 +2119,7 @@ impl AndroidSystem {
             }
             self.sched.set_demand(pid, demand);
         }
+        self.touch_usage();
     }
 }
 

@@ -88,6 +88,39 @@ pub struct DevicePowerModel {
     pub audio: AudioModel,
     /// Whole-device draw while suspended (everything quiet), mW.
     pub suspend_mw: f64,
+    /// The radio FSMs' outputs at their last observation.
+    #[serde(default)]
+    radio_outputs: RadioOutputs,
+}
+
+/// One radio's `(power, users)` output at its last observation.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct RadioOutput {
+    power_mw: f64,
+    users: Vec<Uid>,
+}
+
+impl RadioOutput {
+    /// Records `(power_mw, users)`; true when it differs from the previous
+    /// observation.
+    fn update(&mut self, power_mw: f64, users: &[Uid]) -> bool {
+        if self.power_mw == power_mw && self.users == users {
+            return false;
+        }
+        self.power_mw = power_mw;
+        self.users.clear();
+        self.users.extend_from_slice(users);
+        true
+    }
+}
+
+/// The WiFi, cellular and GPS outputs, kept so the model can report
+/// whether a step moved any of them.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+struct RadioOutputs {
+    wifi: RadioOutput,
+    cellular: RadioOutput,
+    gps: RadioOutput,
 }
 
 impl DevicePowerModel {
@@ -102,6 +135,7 @@ impl DevicePowerModel {
             camera: CameraModel::nexus4(),
             audio: AudioModel::nexus4(),
             suspend_mw: 6.0,
+            radio_outputs: RadioOutputs::default(),
         }
     }
 
@@ -126,6 +160,24 @@ impl DevicePowerModel {
         out
     }
 
+    /// Observes the WiFi, cellular and GPS state machines at `now` under
+    /// `usage` and reports whether any radio's `(power, users)` output
+    /// moved since the previous observation. The radios must observe every
+    /// interval, idle ones included, because their tails expire on sim
+    /// time. Observing twice at the same `now` with the same traffic is
+    /// idempotent, so a caller that sees `true` can simply rebuild with
+    /// [`draws_into`](Self::draws_into).
+    pub fn observe_radios(&mut self, now: SimTime, usage: &DeviceUsage) -> bool {
+        let outputs = &mut self.radio_outputs;
+        let (wifi_mw, wifi_users) = self.wifi.observe(now, &usage.wifi);
+        let wifi_moved = outputs.wifi.update(wifi_mw, wifi_users);
+        let (cell_mw, cell_users, _) = self.cellular.observe(now, &usage.cellular);
+        let cell_moved = outputs.cellular.update(cell_mw, cell_users);
+        let (gps_mw, gps_users) = self.gps.observe(now, &usage.gps);
+        let gps_moved = outputs.gps.update(gps_mw, gps_users);
+        wifi_moved | cell_moved | gps_moved
+    }
+
     /// Zero-allocation form of [`draws`](Self::draws): writes into `out`,
     /// recycling both the outer vector and the per-draw `users` allocations
     /// left there by the previous tick. At steady state a profiler step
@@ -139,13 +191,10 @@ impl DevicePowerModel {
         }
         let mut pool = pool.into_iter();
 
-        // Radio FSMs must observe every interval, even idle ones, so their
-        // tails expire on schedule.
-        let (wifi_mw, wifi_users) = self.wifi.observe(now, &usage.wifi);
-        let (cell_mw, cell_users, _) = self.cellular.observe(now, &usage.cellular);
-        let (gps_mw, gps_users) = self.gps.observe(now, &usage.gps);
+        self.observe_radios(now, usage);
+        let radios = &self.radio_outputs;
 
-        if !usage.is_active() && wifi_users.is_empty() && cell_users.is_empty() {
+        if !usage.is_active() && radios.wifi.users.is_empty() && radios.cellular.users.is_empty() {
             out.push(ComponentDraw {
                 component: Component::Cpu,
                 power_mw: self.suspend_mw,
@@ -199,24 +248,24 @@ impl DevicePowerModel {
         });
 
         let mut wifi_shares = pool.next().unwrap_or_default();
-        fill_equal_shares(wifi_users, &mut wifi_shares);
+        fill_equal_shares(&radios.wifi.users, &mut wifi_shares);
         out.push(ComponentDraw {
             component: Component::Wifi,
-            power_mw: wifi_mw,
+            power_mw: radios.wifi.power_mw,
             users: wifi_shares,
         });
         let mut cell_shares = pool.next().unwrap_or_default();
-        fill_equal_shares(cell_users, &mut cell_shares);
+        fill_equal_shares(&radios.cellular.users, &mut cell_shares);
         out.push(ComponentDraw {
             component: Component::Cellular,
-            power_mw: cell_mw,
+            power_mw: radios.cellular.power_mw,
             users: cell_shares,
         });
         let mut gps_shares = pool.next().unwrap_or_default();
-        fill_equal_shares(gps_users, &mut gps_shares);
+        fill_equal_shares(&radios.gps.users, &mut gps_shares);
         out.push(ComponentDraw {
             component: Component::Gps,
-            power_mw: gps_mw,
+            power_mw: radios.gps.power_mw,
             users: gps_shares,
         });
 
@@ -367,6 +416,39 @@ mod tests {
             .expect("tail keeps the device active");
         assert_eq!(wifi.power_mw, model.wifi.tail_mw);
         assert_eq!(wifi.users[0].uid, uid(1));
+    }
+
+    #[test]
+    fn observe_radios_reports_only_moved_outputs() {
+        let mut model = DevicePowerModel::nexus4();
+        let mut usage = DeviceUsage::idle();
+        usage.wifi = vec![RadioUse {
+            uid: uid(1),
+            throughput_kbps: 500.0,
+        }];
+        assert!(
+            model.observe_radios(SimTime::ZERO, &usage),
+            "traffic starts"
+        );
+        assert!(
+            !model.observe_radios(SimTime::ZERO, &usage),
+            "same instant, same traffic: idempotent"
+        );
+        assert!(
+            !model.observe_radios(SimTime::from_millis(100), &usage),
+            "steady traffic"
+        );
+        let idle = DeviceUsage::idle();
+        assert!(
+            model.observe_radios(SimTime::from_millis(200), &idle),
+            "traffic stops: the tail begins"
+        );
+        assert!(!model.observe_radios(SimTime::from_millis(300), &idle));
+        assert!(
+            model.observe_radios(SimTime::from_secs(2), &idle),
+            "the tail expires on sim time alone"
+        );
+        assert!(!model.observe_radios(SimTime::from_secs(3), &idle));
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Device usage snapshots.
 //!
 //! A [`DeviceUsage`] is a piecewise-constant description of what every
-//! component is doing and *on whose behalf*. The framework publishes a new
-//! snapshot whenever anything relevant changes (activity switch, wakelock,
-//! brightness write, camera start…); the accounting layer integrates power
-//! over the interval between snapshots.
+//! component is doing and *on whose behalf*. The framework bumps its usage
+//! epoch whenever anything a snapshot reads changes (activity switch,
+//! wakelock, brightness write, camera start…); the profiler rebuilds the
+//! snapshot, and the draws and attribution derived from it, only on an
+//! epoch change (or when a radio's tail state moves) and integrates power
+//! over the steps in between with the snapshot it already has.
 
 use serde::{Deserialize, Serialize};
 

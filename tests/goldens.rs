@@ -1,8 +1,8 @@
 //! Committed golden files for the bytes every figure and report is built
 //! from: all 14 scenario fingerprints (ledger JSON, collateral-graph
 //! JSON, battery-drained bits), the smoke fleet report at several worker
-//! counts, a faulted fleet report, and the streamed report at several
-//! lane counts.
+//! counts, a long-day fleet report, a faulted fleet report, and the
+//! streamed report at several lane counts.
 //!
 //! The files under `tests/golden/` are the contract; no second runtime
 //! path is consulted. To regenerate after an intentional output change:
@@ -88,6 +88,26 @@ fn fleet_report_matches_its_golden_at_every_job_count() {
             ..smoke_fleet()
         });
         check_golden("fleet_smoke.json", &render::to_json(&report));
+    }
+}
+
+/// The benchmark's long-day device shape at a small fleet: twelve
+/// sessions of ~60 s attended and ~240 s pocketed, so the report pins
+/// long idle stretches and the radio tails that expire inside them.
+#[test]
+fn long_day_fleet_report_matches_its_golden() {
+    let config = FleetConfig {
+        sessions: 12,
+        mean_session_secs: 60,
+        mean_idle_secs: 240,
+        ..FleetConfig::smoke(3, 2_026)
+    };
+    for jobs in [1, 4] {
+        let (report, _) = run_fleet(&FleetConfig {
+            jobs,
+            ..config.clone()
+        });
+        check_golden("fleet_long_day.json", &render::to_json(&report));
     }
 }
 

@@ -1,8 +1,10 @@
 //! Committed golden files for the bytes every figure and report is built
 //! from: all 14 scenario fingerprints (ledger JSON, collateral-graph
-//! JSON, battery-drained bits), the smoke fleet report at several worker
-//! counts, a long-day fleet report, a faulted fleet report, and the
-//! streamed report at several lane counts.
+//! JSON, battery-drained bits), Figure 1's scenario under the stock
+//! Android profiler, every Figure 3 depletion curve, the hybrid chain at
+//! a 50 ms step, the smoke fleet report at several worker counts, a
+//! long-day fleet report, a faulted fleet report, and the streamed report
+//! at several lane counts.
 //!
 //! The files under `tests/golden/` are the contract; no second runtime
 //! path is consulted. To regenerate after an intentional output change:
@@ -11,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use e_android::apps::Scenario;
+use e_android::apps::{run_depletion, DepletionCase, Scenario};
 use e_android::chaos::{FaultPlan, FaultRates};
 use e_android::core::{Profiler, ScreenPolicy};
 use e_android::fleet::{render, run_fleet, FleetConfig};
@@ -50,17 +52,30 @@ fn check_golden(name: &str, actual: &str) {
     panic!("golden {name} is stale; regenerate with GOLDEN_BLESS=1 and review the diff");
 }
 
-/// The scenario's `(ledger, collateral graph, drained bits)` rendered as
-/// one three-line text file.
-fn scenario_fingerprint(scenario: Scenario) -> String {
-    let run = scenario.run(Profiler::eandroid(ScreenPolicy::SeparateEntity));
+/// Serialized `(ledger, collateral graph, battery-drained bits)` of one
+/// scenario run — everything a figure binary reads.
+fn fingerprint(scenario: Scenario, profiler: Profiler) -> (String, String, u64) {
+    let run = scenario.run(profiler);
     let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
     let graph = match run.profiler.collateral() {
         Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
         None => String::new(),
     };
     let drained = run.profiler.battery().drained().as_joules().to_bits();
+    (ledger, graph, drained)
+}
+
+/// A [`fingerprint`] rendered as one three-line text file.
+fn fingerprint_text((ledger, graph, drained): (String, String, u64)) -> String {
     format!("drained_bits {drained:#018x}\n{ledger}\n{graph}\n")
+}
+
+/// The scenario's fingerprint under the full E-Android profiler.
+fn scenario_fingerprint(scenario: Scenario) -> String {
+    fingerprint_text(fingerprint(
+        scenario,
+        Profiler::eandroid(ScreenPolicy::SeparateEntity),
+    ))
 }
 
 #[test]
@@ -69,6 +84,126 @@ fn every_scenario_matches_its_golden() {
         check_golden(
             &format!("scenario/{}.txt", scenario.name()),
             &scenario_fingerprint(scenario),
+        );
+    }
+}
+
+/// Figure 1 runs the stock-Android profiler: no collateral monitor, so
+/// the ledger alone carries the bytes.
+#[test]
+fn fig01_android_fingerprint_matches_its_golden() {
+    check_golden(
+        "fig01_android.txt",
+        &fingerprint_text(fingerprint(
+            Scenario::Scene1MessageVideo,
+            Profiler::android(ScreenPolicy::SeparateEntity),
+        )),
+    );
+}
+
+/// Every Figure 3 case over a one-hour cap: the label, the lifetime, then
+/// one `hours percent` sample per line. `{:?}` prints the shortest string
+/// that parses back to the same `f64`, so equal text means equal bits.
+#[test]
+fn depletion_curves_match_their_golden() {
+    let mut text = String::new();
+    for case in DepletionCase::ALL {
+        let curve = run_depletion(case, 1);
+        text.push_str(&format!(
+            "{} lifetime_hours {:?}\n",
+            curve.label, curve.lifetime_hours
+        ));
+        for point in &curve.points {
+            text.push_str(&format!("{:?} {:?}\n", point.hours, point.percent));
+        }
+    }
+    check_golden("depletion_curves.txt", &text);
+}
+
+/// A 50 ms step multiplies the step count 20×, so accumulated float state
+/// in the ledger and the collateral graph gets the most rounding to drift.
+#[test]
+fn fine_step_hybrid_chain_matches_its_golden() {
+    check_golden(
+        "hybrid_attack_chain_50ms.txt",
+        &fingerprint_text(fingerprint(
+            Scenario::HybridAttackChain,
+            Profiler::eandroid(ScreenPolicy::SeparateEntity)
+                .with_step(SimDuration::from_millis(50)),
+        )),
+    );
+}
+
+/// Asserts two JSON texts are byte-identical, reporting the structural
+/// difference first when they are not.
+fn diff_json(label: &str, left: &str, right: &str) {
+    if left == right {
+        return;
+    }
+    // Byte mismatch: parse both and report the structural diff, which is
+    // far more readable than two multi-kilobyte strings.
+    let a: serde_json::Value = serde_json::from_str(left).expect("left side parses");
+    let b: serde_json::Value = serde_json::from_str(right).expect("right side parses");
+    assert_eq!(a, b, "{label}: parsed JSON differs");
+    panic!("{label}: parsed JSON agrees but bytes differ (serializer drift)");
+}
+
+/// Like [`fingerprint`], but with a fault plan attached via the chaos
+/// entry point. A zero-rate plan must not move a single byte.
+fn fingerprint_chaos(
+    scenario: Scenario,
+    profiler: Profiler,
+    plan: &ea_chaos::FaultPlan,
+) -> (String, String, u64) {
+    let run = scenario.run_chaos(profiler, plan, 0);
+    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
+    let graph = match run.profiler.collateral() {
+        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
+        None => String::new(),
+    };
+    let drained = run.profiler.battery().drained().as_joules().to_bits();
+    (ledger, graph, drained)
+}
+
+#[test]
+fn zero_rate_fault_plan_is_a_byte_identical_noop_on_figure_artifacts() {
+    let plan = ea_chaos::FaultPlan::zero(2_026);
+
+    // fig01: stock-Android profiler.
+    let bare = fingerprint(
+        Scenario::Scene1MessageVideo,
+        Profiler::android(ScreenPolicy::SeparateEntity),
+    );
+    let chaos = fingerprint_chaos(
+        Scenario::Scene1MessageVideo,
+        Profiler::android(ScreenPolicy::SeparateEntity),
+        &plan,
+    );
+    diff_json("fig01 ledger under zero plan", &chaos.0, &bare.0);
+    assert_eq!(chaos.2, bare.2, "fig01 drained-energy bits under zero plan");
+
+    // fig08: full E-Android profiler with the collateral monitor.
+    let bare = fingerprint(
+        Scenario::Scene2HybridChain,
+        Profiler::eandroid(ScreenPolicy::SeparateEntity),
+    );
+    let chaos = fingerprint_chaos(
+        Scenario::Scene2HybridChain,
+        Profiler::eandroid(ScreenPolicy::SeparateEntity),
+        &plan,
+    );
+    diff_json("fig08 ledger under zero plan", &chaos.0, &bare.0);
+    diff_json("fig08 graph under zero plan", &chaos.1, &bare.1);
+    assert_eq!(chaos.2, bare.2, "fig08 drained-energy bits under zero plan");
+
+    // fig03: the depletion race.
+    for case in DepletionCase::ALL {
+        let bare = run_depletion(case, 1);
+        let chaos = ea_apps::run_depletion_chaos(case, 1, &plan, 0);
+        assert_eq!(
+            bare, chaos,
+            "depletion curve {} moved under a zero-rate plan",
+            bare.label
         );
     }
 }

@@ -90,7 +90,6 @@ pub fn run_depletion_chaos(
         case,
         cap_hours,
         ea_power::DevicePowerModel::nexus4(),
-        false,
         Some((plan, lane)),
     )
 }
@@ -102,27 +101,13 @@ pub fn run_depletion_with_model(
     cap_hours: u64,
     model: ea_power::DevicePowerModel,
 ) -> DepletionCurve {
-    run_depletion_inner(case, cap_hours, model, false, None)
-}
-
-/// Runs one Figure 3 case on the pre-optimization reference accounting
-/// path. Produces the identical curve by the hot-path equivalence
-/// contract; exists so the golden tests can diff the two paths.
-pub fn run_depletion_reference(case: DepletionCase, cap_hours: u64) -> DepletionCurve {
-    run_depletion_inner(
-        case,
-        cap_hours,
-        ea_power::DevicePowerModel::nexus4(),
-        true,
-        None,
-    )
+    run_depletion_inner(case, cap_hours, model, None)
 }
 
 fn run_depletion_inner(
     case: DepletionCase,
     cap_hours: u64,
     model: ea_power::DevicePowerModel,
-    reference: bool,
     faults: Option<(&ea_chaos::FaultPlan, u64)>,
 ) -> DepletionCurve {
     let mut android = AndroidSystem::new();
@@ -183,9 +168,6 @@ fn run_depletion_inner(
     let mut profiler = Profiler::android(ScreenPolicy::SeparateEntity)
         .with_model(model)
         .with_step(SimDuration::from_secs(5));
-    if reference {
-        profiler = profiler.with_reference_accounting();
-    }
     if let Some((plan, lane)) = faults {
         android.attach_faults(plan.framework_faults(lane));
         profiler = profiler.with_chaos(plan.power_faults(lane));

@@ -34,8 +34,8 @@ pub mod workload;
 
 pub use demo::DemoApps;
 pub use depletion::{
-    run_depletion, run_depletion_chaos, run_depletion_reference, run_depletion_with_model,
-    DepletionCase, DepletionCurve, DepletionPoint,
+    run_depletion, run_depletion_chaos, run_depletion_with_model, DepletionCase, DepletionCurve,
+    DepletionPoint,
 };
 pub use malware::{Malware, MALWARE_PACKAGE};
 pub use scenario::{RunOutput, Scenario};

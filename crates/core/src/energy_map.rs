@@ -16,19 +16,16 @@
 //!
 //! # Hot-path storage
 //!
-//! Two interchangeable storages back the graph. The default **dense**
-//! storage interns hosts and driven entities to [`UidSlot`]s and keeps the
-//! maps as flat per-slot arrays, plus a *link index* (`live_by_entity`)
-//! listing, per driven entity, exactly the hosts holding it alive — so the
-//! per-tick [`accrue`](CollateralGraph::accrue) touches only the links an
-//! interval's draws actually feed, instead of scanning every open map. The
-//! **reference** storage ([`CollateralGraph::reference`]) preserves the
-//! original nested-`BTreeMap` scan-all implementation; it exists as the
-//! validation baseline the golden/property tests and the `hotloop` bench
-//! suite compare against. Both storages serialize, compare, and answer
-//! every query identically.
-
-use std::collections::BTreeMap;
+//! The graph interns hosts and driven entities to [`UidSlot`]s and keeps
+//! the maps as flat per-slot arrays, plus a *link index*
+//! (`live_by_entity`) listing, per driven entity, exactly the hosts holding
+//! it alive — so the per-tick [`accrue`](CollateralGraph::accrue) touches
+//! only the links an interval's draws actually feed, instead of scanning
+//! every open map. Queries, comparison and serialization walk hosts in UID
+//! order and entries in entity order, and totals sum in entity order, so
+//! results are bit-identical to the original nested-`BTreeMap`
+//! implementation; the root test `tests/accounting_oracle.rs` keeps that
+//! implementation as a model and checks the graph against it.
 
 use serde::de::Deserializer;
 use serde::ser::Serializer;
@@ -55,146 +52,13 @@ pub struct CollateralEntry {
 /// them one-for-one.
 pub type LinkToken = (Uid, Entity);
 
-/// One cell of the dense storage: the public entry plus whether the cell
-/// was ever linked (distinguishes "created, then fully ended with nothing
-/// accrued" — which the reference storage keeps on record — from "never
-/// existed").
+/// One cell of a host's row: the public entry plus whether the cell was
+/// ever linked (distinguishes "created, then fully ended with nothing
+/// accrued" — which stays on record — from "never existed").
 #[derive(Debug, Clone, Copy, Default)]
-struct DenseCell {
+struct Cell {
     entry: CollateralEntry,
     created: bool,
-}
-
-/// Dense slot-indexed storage with the incremental link index.
-#[derive(Debug, Clone, Default)]
-struct DenseGraph {
-    interner: SlotInterner,
-    /// `rows[host.index()][entity.index()]`, grown lazily.
-    rows: Vec<Vec<DenseCell>>,
-    /// Per driven entity: the host slots currently holding it alive.
-    live_by_entity: Vec<Vec<u32>>,
-    /// Count of live `(host, entity)` relations (not individual links).
-    live_relations: usize,
-    /// Host slots that ever gained a map entry (mirrors "has a map" in the
-    /// reference storage).
-    touched: Vec<bool>,
-}
-
-impl DenseGraph {
-    fn cell_mut(&mut self, host: UidSlot, entity: UidSlot) -> &mut DenseCell {
-        let rows = &mut self.rows;
-        if rows.len() <= host.index() {
-            rows.resize_with(host.index() + 1, Vec::new);
-        }
-        let row = &mut rows[host.index()];
-        if row.len() <= entity.index() {
-            row.resize_with(entity.index() + 1, DenseCell::default);
-        }
-        &mut row[entity.index()]
-    }
-
-    fn cell(&self, host: UidSlot, entity: UidSlot) -> Option<&DenseCell> {
-        self.rows.get(host.index())?.get(entity.index())
-    }
-
-    fn mark_touched(&mut self, host: UidSlot) {
-        if self.touched.len() <= host.index() {
-            self.touched.resize(host.index() + 1, false);
-        }
-        self.touched[host.index()] = true;
-    }
-
-    fn is_touched(&self, host: UidSlot) -> bool {
-        self.touched.get(host.index()).copied().unwrap_or(false)
-    }
-
-    fn add_link(&mut self, host: UidSlot, entity: UidSlot, tokens: &mut Vec<LinkToken>) {
-        // An app is never collateral to itself.
-        if host == entity {
-            return;
-        }
-        let cell = self.cell_mut(host, entity);
-        if cell.entry.links == 0 {
-            cell.entry.links = 1;
-            cell.created = true;
-            self.live_relations += 1;
-            if self.live_by_entity.len() <= entity.index() {
-                self.live_by_entity
-                    .resize_with(entity.index() + 1, Vec::new);
-            }
-            self.live_by_entity[entity.index()].push(host.index() as u32);
-        } else {
-            cell.entry.links += 1;
-        }
-        self.mark_touched(host);
-        let host_uid = match self.interner.entity(host) {
-            Entity::App(uid) => uid,
-            // Hosts are always apps; begin() interns them as such.
-            _ => unreachable!("collateral hosts are app entities"),
-        };
-        tokens.push((host_uid, self.interner.entity(entity)));
-    }
-
-    fn revoke_link(&mut self, host: UidSlot, entity: UidSlot) {
-        let Some(cell) = self
-            .rows
-            .get_mut(host.index())
-            .and_then(|row| row.get_mut(entity.index()))
-        else {
-            return;
-        };
-        if cell.entry.links == 0 {
-            return; // double-end saturates, as in the reference storage
-        }
-        cell.entry.links -= 1;
-        if cell.entry.links == 0 {
-            self.live_relations -= 1;
-            if let Some(live) = self.live_by_entity.get_mut(entity.index()) {
-                if let Some(position) = live.iter().position(|&h| h as usize == host.index()) {
-                    live.swap_remove(position);
-                }
-            }
-        }
-    }
-}
-
-/// The original nested-map implementation, kept verbatim as the reference
-/// baseline.
-#[derive(Debug, Clone, Default)]
-struct ReferenceGraph {
-    maps: BTreeMap<Uid, BTreeMap<Entity, CollateralEntry>>,
-}
-
-impl ReferenceGraph {
-    fn add_link(&mut self, host: Uid, entity: Entity, tokens: &mut Vec<LinkToken>) {
-        if entity == Entity::App(host) {
-            return;
-        }
-        self.maps
-            .entry(host)
-            .or_default()
-            .entry(entity)
-            .or_default()
-            .links += 1;
-        tokens.push((host, entity));
-    }
-
-    fn parents_of(&self, uid: Uid) -> Vec<Uid> {
-        self.maps
-            .iter()
-            .filter(|(_, map)| {
-                map.get(&Entity::App(uid))
-                    .is_some_and(|entry| entry.links > 0)
-            })
-            .map(|(&host, _)| host)
-            .collect()
-    }
-}
-
-#[derive(Debug, Clone)]
-enum Storage {
-    Dense(DenseGraph),
-    Reference(ReferenceGraph),
 }
 
 /// All collateral energy maps (one per driving app), with Algorithm 1
@@ -220,365 +84,281 @@ enum Storage {
 /// // The period ended: no further charging.
 /// assert!((graph.collateral_total(a).as_joules() - 5.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CollateralGraph {
-    storage: Storage,
-}
-
-impl Default for CollateralGraph {
-    fn default() -> Self {
-        CollateralGraph::new()
-    }
+    interner: SlotInterner,
+    /// `rows[host.index()][entity.index()]`, grown lazily.
+    rows: Vec<Vec<Cell>>,
+    /// Per driven entity: the host slots currently holding it alive.
+    live_by_entity: Vec<Vec<u32>>,
+    /// Count of live `(host, entity)` relations (not individual links).
+    live_relations: usize,
+    /// Host slots that ever gained a map entry.
+    touched: Vec<bool>,
 }
 
 impl CollateralGraph {
-    /// An empty graph on the dense (slot-interned, link-indexed) storage.
+    /// An empty graph.
     pub fn new() -> Self {
-        CollateralGraph {
-            storage: Storage::Dense(DenseGraph::default()),
+        CollateralGraph::default()
+    }
+
+    fn cell_mut(&mut self, host: UidSlot, entity: UidSlot) -> &mut Cell {
+        let rows = &mut self.rows;
+        if rows.len() <= host.index() {
+            rows.resize_with(host.index() + 1, Vec::new);
+        }
+        let row = &mut rows[host.index()];
+        if row.len() <= entity.index() {
+            row.resize_with(entity.index() + 1, Cell::default);
+        }
+        &mut row[entity.index()]
+    }
+
+    fn cell(&self, host: UidSlot, entity: UidSlot) -> Option<&Cell> {
+        self.rows.get(host.index())?.get(entity.index())
+    }
+
+    fn mark_touched(&mut self, host: UidSlot) {
+        if self.touched.len() <= host.index() {
+            self.touched.resize(host.index() + 1, false);
+        }
+        self.touched[host.index()] = true;
+    }
+
+    fn is_touched(&self, host: UidSlot) -> bool {
+        self.touched.get(host.index()).copied().unwrap_or(false)
+    }
+
+    /// Records `entity` as live for `host` in the link index.
+    fn index_live(&mut self, host: UidSlot, entity: UidSlot) {
+        self.live_relations += 1;
+        if self.live_by_entity.len() <= entity.index() {
+            self.live_by_entity
+                .resize_with(entity.index() + 1, Vec::new);
+        }
+        self.live_by_entity[entity.index()].push(host.index() as u32);
+    }
+
+    fn host_uid(&self, host: UidSlot) -> Uid {
+        match self.interner.entity(host) {
+            Entity::App(uid) => uid,
+            // Hosts are always apps; begin() interns them as such.
+            _ => unreachable!("collateral hosts are app entities"),
         }
     }
 
-    /// An empty graph on the reference (nested-map, scan-all) storage —
-    /// the pre-optimization baseline used for validation and benchmarking.
-    pub fn reference() -> Self {
-        CollateralGraph {
-            storage: Storage::Reference(ReferenceGraph::default()),
+    fn add_link(&mut self, host: UidSlot, entity: UidSlot, tokens: &mut Vec<LinkToken>) {
+        // An app is never collateral to itself.
+        if host == entity {
+            return;
+        }
+        let cell = self.cell_mut(host, entity);
+        cell.entry.links += 1;
+        cell.created = true;
+        if cell.entry.links == 1 {
+            self.index_live(host, entity);
+        }
+        self.mark_touched(host);
+        tokens.push((self.host_uid(host), self.interner.entity(entity)));
+    }
+
+    fn revoke_link(&mut self, host: UidSlot, entity: UidSlot) {
+        let Some(cell) = self
+            .rows
+            .get_mut(host.index())
+            .and_then(|row| row.get_mut(entity.index()))
+        else {
+            return;
+        };
+        if cell.entry.links == 0 {
+            return; // double-end saturates
+        }
+        cell.entry.links -= 1;
+        if cell.entry.links == 0 {
+            self.live_relations -= 1;
+            if let Some(live) = self.live_by_entity.get_mut(entity.index()) {
+                if let Some(position) = live.iter().position(|&h| h as usize == host.index()) {
+                    live.swap_remove(position);
+                }
+            }
         }
     }
 
-    /// Whether this graph runs on the reference storage.
-    pub fn is_reference(&self) -> bool {
-        matches!(self.storage, Storage::Reference(_))
+    /// `host`'s created cells as `(entity, entry)`, in entity order.
+    fn entries_of(&self, host: UidSlot) -> Vec<(Entity, CollateralEntry)> {
+        let mut entries: Vec<(Entity, CollateralEntry)> = self
+            .rows
+            .get(host.index())
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .filter(|(_, cell)| cell.created)
+                    .map(|(index, cell)| {
+                        (self.interner.entity(UidSlot::from_index(index)), cell.entry)
+                    })
+                    .collect()
+            })
+            .unwrap_or_default();
+        entries.sort_by_key(|&(entity, _)| entity);
+        entries
     }
 
     /// Opens links for a begin event `(driving → driven)` and returns the
     /// created tokens (pass them back to [`end`](Self::end) when the attack
     /// period closes).
     pub fn begin(&mut self, driving: Uid, driven: Entity, service_like: bool) -> Vec<LinkToken> {
-        match &mut self.storage {
-            Storage::Dense(dense) => {
-                let mut tokens = Vec::new();
-                let driving_slot = dense.interner.intern_uid(driving);
-                let driven_slot = dense.interner.intern(driven);
+        let mut tokens = Vec::new();
+        let driving_slot = self.interner.intern_uid(driving);
+        let driven_slot = self.interner.intern(driven);
 
-                // Hosts: the driving app plus every app whose map holds the
-                // driving app alive (Algorithm 1 lines 8–10). The link index
-                // answers "who holds X alive" directly; sorting the parents
-                // by uid keeps the returned token order identical to the
-                // reference storage's BTreeMap walk.
-                let mut parents: Vec<UidSlot> = dense
-                    .live_by_entity
-                    .get(driving_slot.index())
-                    .map(|live| {
-                        live.iter()
-                            .map(|&h| UidSlot::from_index(h as usize))
-                            .collect()
-                    })
-                    .unwrap_or_default();
-                parents.sort_by_key(|&slot| match dense.interner.entity(slot) {
-                    Entity::App(uid) => uid,
-                    _ => unreachable!("collateral hosts are app entities"),
-                });
-                let mut hosts: Vec<UidSlot> = vec![driving_slot];
-                hosts.extend(parents);
+        // Hosts: the driving app plus every app whose map holds the driving
+        // app alive (Algorithm 1 lines 8–10). The link index answers "who
+        // holds X alive" directly; sorting the parents by uid returns the
+        // tokens in host order.
+        let mut parents: Vec<UidSlot> = self
+            .live_by_entity
+            .get(driving_slot.index())
+            .map(|live| {
+                live.iter()
+                    .map(|&h| UidSlot::from_index(h as usize))
+                    .collect()
+            })
+            .unwrap_or_default();
+        parents.sort_by_key(|&slot| self.host_uid(slot));
+        let mut hosts: Vec<UidSlot> = vec![driving_slot];
+        hosts.extend(parents);
 
+        for &host in &hosts {
+            self.add_link(host, driven_slot, &mut tokens);
+        }
+
+        // Service events merge the driven app's live entries upward
+        // (Algorithm 1 lines 11–15), in entity order (slot order is intern
+        // order, not entity order).
+        if service_like && matches!(driven, Entity::App(_)) {
+            let mut children: Vec<UidSlot> = self
+                .rows
+                .get(driven_slot.index())
+                .map(|row| {
+                    row.iter()
+                        .enumerate()
+                        .filter(|(_, cell)| cell.entry.links > 0)
+                        .map(|(index, _)| UidSlot::from_index(index))
+                        .collect()
+                })
+                .unwrap_or_default();
+            children.sort_by_key(|&slot| self.interner.entity(slot));
+            for child in children {
                 for &host in &hosts {
-                    dense.add_link(host, driven_slot, &mut tokens);
+                    self.add_link(host, child, &mut tokens);
                 }
-
-                // Service events merge the driven app's live entries upward
-                // (Algorithm 1 lines 11–15).
-                if service_like && matches!(driven, Entity::App(_)) {
-                    // Sorted by Entity, matching the reference BTreeMap's
-                    // iteration order (slot order is intern order, not
-                    // entity order).
-                    let mut children: Vec<UidSlot> = dense
-                        .rows
-                        .get(driven_slot.index())
-                        .map(|row| {
-                            row.iter()
-                                .enumerate()
-                                .filter(|(_, cell)| cell.entry.links > 0)
-                                .map(|(index, _)| UidSlot::from_index(index))
-                                .collect()
-                        })
-                        .unwrap_or_default();
-                    children.sort_by_key(|&slot| dense.interner.entity(slot));
-                    for child in children {
-                        for &host in &hosts {
-                            dense.add_link(host, child, &mut tokens);
-                        }
-                    }
-                }
-                tokens
-            }
-            Storage::Reference(reference) => {
-                let mut tokens = Vec::new();
-                let mut hosts = vec![driving];
-                hosts.extend(reference.parents_of(driving));
-
-                for &host in &hosts {
-                    reference.add_link(host, driven, &mut tokens);
-                }
-
-                if service_like {
-                    if let Entity::App(driven_uid) = driven {
-                        let children: Vec<Entity> = reference
-                            .maps
-                            .get(&driven_uid)
-                            .map(|map| {
-                                map.iter()
-                                    .filter(|(_, entry)| entry.links > 0)
-                                    .map(|(&entity, _)| entity)
-                                    .collect()
-                            })
-                            .unwrap_or_default();
-                        for child in children {
-                            for &host in &hosts {
-                                reference.add_link(host, child, &mut tokens);
-                            }
-                        }
-                    }
-                }
-                tokens
             }
         }
+        tokens
     }
 
     /// Revokes the tokens a begin created. Idempotence is the caller's
     /// responsibility: pass each token set to `end` exactly once.
     pub fn end(&mut self, tokens: &[LinkToken]) {
-        match &mut self.storage {
-            Storage::Dense(dense) => {
-                for &(host, entity) in tokens {
-                    let (Some(host_slot), Some(entity_slot)) = (
-                        dense.interner.slot_of_uid(host),
-                        dense.interner.slot_of(entity),
-                    ) else {
-                        continue;
-                    };
-                    dense.revoke_link(host_slot, entity_slot);
-                }
-            }
-            Storage::Reference(reference) => {
-                for &(host, entity) in tokens {
-                    if let Some(entry) = reference
-                        .maps
-                        .get_mut(&host)
-                        .and_then(|map| map.get_mut(&entity))
-                    {
-                        entry.links = entry.links.saturating_sub(1);
-                    }
-                }
-            }
+        for &(host, entity) in tokens {
+            let (Some(host_slot), Some(entity_slot)) = (
+                self.interner.slot_of_uid(host),
+                self.interner.slot_of(entity),
+            ) else {
+                continue;
+            };
+            self.revoke_link(host_slot, entity_slot);
         }
     }
 
     /// Adds `energy` consumed by `entity` to every host currently linked to
-    /// it — the per-interval accrual step of the accounting module. On the
-    /// dense storage this reads the link index and touches exactly the live
-    /// relations of `entity`; the reference storage scans every map.
+    /// it — the per-interval accrual step of the accounting module. Reads
+    /// the link index, so it touches exactly the live relations of
+    /// `entity`.
     pub fn accrue(&mut self, entity: Entity, energy: Energy) {
         if energy.is_zero() {
             return;
         }
-        match &mut self.storage {
-            Storage::Dense(dense) => {
-                let Some(slot) = dense.interner.slot_of(entity) else {
-                    return;
-                };
-                let Some(live) = dense.live_by_entity.get(slot.index()) else {
-                    return;
-                };
-                for &host in live {
-                    dense.rows[host as usize][slot.index()].entry.energy += energy;
-                }
-            }
-            Storage::Reference(reference) => {
-                for map in reference.maps.values_mut() {
-                    if let Some(entry) = map.get_mut(&entity) {
-                        if entry.links > 0 {
-                            entry.energy += energy;
-                        }
-                    }
-                }
-            }
+        let Some(slot) = self.interner.slot_of(entity) else {
+            return;
+        };
+        let Some(live) = self.live_by_entity.get(slot.index()) else {
+            return;
+        };
+        for &host in live {
+            self.rows[host as usize][slot.index()].entry.energy += energy;
         }
     }
 
     /// The live link count from `host` to `entity`.
     pub fn links(&self, host: Uid, entity: Entity) -> usize {
-        match &self.storage {
-            Storage::Dense(dense) => {
-                let (Some(host_slot), Some(entity_slot)) = (
-                    dense.interner.slot_of_uid(host),
-                    dense.interner.slot_of(entity),
-                ) else {
-                    return 0;
-                };
-                dense
-                    .cell(host_slot, entity_slot)
-                    .map(|cell| cell.entry.links)
-                    .unwrap_or(0)
-            }
-            Storage::Reference(reference) => reference
-                .maps
-                .get(&host)
-                .and_then(|map| map.get(&entity))
-                .map(|entry| entry.links)
-                .unwrap_or(0),
-        }
+        let (Some(host_slot), Some(entity_slot)) = (
+            self.interner.slot_of_uid(host),
+            self.interner.slot_of(entity),
+        ) else {
+            return 0;
+        };
+        self.cell(host_slot, entity_slot)
+            .map(|cell| cell.entry.links)
+            .unwrap_or(0)
     }
 
     /// `host`'s collateral rows (driven entity, accrued energy), including
     /// closed ones with energy on record, in entity order.
     pub fn collateral_of(&self, host: Uid) -> Vec<(Entity, Energy)> {
-        match &self.storage {
-            Storage::Dense(dense) => {
-                let Some(host_slot) = dense.interner.slot_of_uid(host) else {
-                    return Vec::new();
-                };
-                let Some(row) = dense.rows.get(host_slot.index()) else {
-                    return Vec::new();
-                };
-                let mut rows: Vec<(Entity, Energy)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cell)| {
-                        cell.created && (!cell.entry.energy.is_zero() || cell.entry.links > 0)
-                    })
-                    .map(|(index, cell)| {
-                        (
-                            dense.interner.entity(UidSlot::from_index(index)),
-                            cell.entry.energy,
-                        )
-                    })
-                    .collect();
-                rows.sort_by_key(|&(entity, _)| entity);
-                rows
-            }
-            Storage::Reference(reference) => reference
-                .maps
-                .get(&host)
-                .map(|map| {
-                    map.iter()
-                        .filter(|(_, entry)| !entry.energy.is_zero() || entry.links > 0)
-                        .map(|(&entity, entry)| (entity, entry.energy))
-                        .collect()
-                })
-                .unwrap_or_default(),
-        }
+        let Some(host_slot) = self.interner.slot_of_uid(host) else {
+            return Vec::new();
+        };
+        self.entries_of(host_slot)
+            .into_iter()
+            .filter(|(_, entry)| !entry.energy.is_zero() || entry.links > 0)
+            .map(|(entity, entry)| (entity, entry.energy))
+            .collect()
     }
 
-    /// Total collateral energy charged to `host`.
+    /// Total collateral energy charged to `host`, summed in entity order.
     pub fn collateral_total(&self, host: Uid) -> Energy {
-        match &self.storage {
-            Storage::Dense(dense) => {
-                let Some(host_slot) = dense.interner.slot_of_uid(host) else {
-                    return Energy::ZERO;
-                };
-                let Some(row) = dense.rows.get(host_slot.index()) else {
-                    return Energy::ZERO;
-                };
-                // Sum in entity order so float rounding matches the
-                // reference storage bit-for-bit.
-                let mut cells: Vec<(Entity, Energy)> = row
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cell)| cell.created)
-                    .map(|(index, cell)| {
-                        (
-                            dense.interner.entity(UidSlot::from_index(index)),
-                            cell.entry.energy,
-                        )
-                    })
-                    .collect();
-                cells.sort_by_key(|&(entity, _)| entity);
-                cells.into_iter().map(|(_, energy)| energy).sum()
-            }
-            Storage::Reference(reference) => reference
-                .maps
-                .get(&host)
-                .map(|map| map.values().map(|entry| entry.energy).sum())
-                .unwrap_or(Energy::ZERO),
-        }
+        let Some(host_slot) = self.interner.slot_of_uid(host) else {
+            return Energy::ZERO;
+        };
+        self.entries_of(host_slot)
+            .into_iter()
+            .map(|(_, entry)| entry.energy)
+            .sum()
     }
 
     /// All hosts with any collateral record, in UID order.
     pub fn hosts(&self) -> impl Iterator<Item = Uid> + '_ {
-        let mut hosts: Vec<Uid> = match &self.storage {
-            Storage::Dense(dense) => dense
-                .interner
-                .iter()
-                .filter(|&(slot, _)| dense.is_touched(slot))
-                .filter_map(|(_, entity)| entity.uid())
-                .collect(),
-            Storage::Reference(reference) => reference.maps.keys().copied().collect(),
-        };
-        hosts.sort();
-        hosts.into_iter()
+        self.host_slots().into_iter().map(|(uid, _)| uid)
+    }
+
+    /// Every touched host with its slot, in UID order.
+    fn host_slots(&self) -> Vec<(Uid, UidSlot)> {
+        let mut hosts: Vec<(Uid, UidSlot)> = self
+            .interner
+            .iter()
+            .filter(|&(slot, _)| self.is_touched(slot))
+            .filter_map(|(slot, entity)| entity.uid().map(|uid| (uid, slot)))
+            .collect();
+        hosts.sort_by_key(|&(uid, _)| uid);
+        hosts
     }
 
     /// Whether any link anywhere is live (used by the overhead fast path:
-    /// with no live links, accrual can be skipped wholesale). O(1) on the
-    /// dense storage.
+    /// with no live links, accrual can be skipped wholesale). O(1).
     pub fn any_live_links(&self) -> bool {
-        match &self.storage {
-            Storage::Dense(dense) => dense.live_relations > 0,
-            Storage::Reference(reference) => reference
-                .maps
-                .values()
-                .any(|map| map.values().any(|entry| entry.links > 0)),
-        }
+        self.live_relations > 0
     }
 
-    /// The canonical nested-pair view both storages serialize to: hosts in
-    /// UID order, entries in entity order, including ended zero-energy
-    /// entries (they exist on record, as in the reference maps).
+    /// The canonical nested-pair view the graph serializes to and compares
+    /// by: hosts in UID order, entries in entity order, including ended
+    /// zero-energy entries (they stay on record).
     fn canonical(&self) -> Vec<(Uid, Vec<(Entity, CollateralEntry)>)> {
-        match &self.storage {
-            Storage::Dense(dense) => {
-                let mut hosts: Vec<(Uid, UidSlot)> = dense
-                    .interner
-                    .iter()
-                    .filter(|&(slot, _)| dense.is_touched(slot))
-                    .filter_map(|(slot, entity)| entity.uid().map(|uid| (uid, slot)))
-                    .collect();
-                hosts.sort_by_key(|&(uid, _)| uid);
-                hosts
-                    .into_iter()
-                    .map(|(uid, host_slot)| {
-                        let mut entries: Vec<(Entity, CollateralEntry)> = dense.rows
-                            [host_slot.index()]
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, cell)| cell.created)
-                        .map(|(index, cell)| {
-                            (
-                                dense.interner.entity(UidSlot::from_index(index)),
-                                cell.entry,
-                            )
-                        })
-                        .collect();
-                        entries.sort_by_key(|&(entity, _)| entity);
-                        (uid, entries)
-                    })
-                    .collect()
-            }
-            Storage::Reference(reference) => reference
-                .maps
-                .iter()
-                .map(|(&uid, map)| {
-                    (
-                        uid,
-                        map.iter()
-                            .map(|(&entity, &entry)| (entity, entry))
-                            .collect(),
-                    )
-                })
-                .collect(),
-        }
+        self.host_slots()
+            .into_iter()
+            .map(|(uid, host_slot)| (uid, self.entries_of(host_slot)))
+            .collect()
     }
 }
 
@@ -598,29 +378,21 @@ impl Serialize for CollateralGraph {
 impl<'de> Deserialize<'de> for CollateralGraph {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
         let pairs: Vec<(Uid, Vec<(Entity, CollateralEntry)>)> = Vec::deserialize(deserializer)?;
-        let mut dense = DenseGraph::default();
+        let mut graph = CollateralGraph::new();
         for (uid, entries) in pairs {
-            let host = dense.interner.intern_uid(uid);
-            dense.mark_touched(host);
+            let host = graph.interner.intern_uid(uid);
+            graph.mark_touched(host);
             for (entity, entry) in entries {
-                let entity_slot = dense.interner.intern(entity);
+                let entity_slot = graph.interner.intern(entity);
                 if entry.links > 0 {
-                    dense.live_relations += 1;
-                    if dense.live_by_entity.len() <= entity_slot.index() {
-                        dense
-                            .live_by_entity
-                            .resize_with(entity_slot.index() + 1, Vec::new);
-                    }
-                    dense.live_by_entity[entity_slot.index()].push(host.index() as u32);
+                    graph.index_live(host, entity_slot);
                 }
-                let cell = dense.cell_mut(host, entity_slot);
+                let cell = graph.cell_mut(host, entity_slot);
                 cell.entry = entry;
                 cell.created = true;
             }
         }
-        Ok(CollateralGraph {
-            storage: Storage::Dense(dense),
-        })
+        Ok(graph)
     }
 }
 
@@ -632,175 +404,157 @@ mod tests {
         Uid::from_raw(10_000 + n)
     }
 
-    /// Every behavioral test runs against both storages.
-    fn both(test: impl Fn(CollateralGraph)) {
-        test(CollateralGraph::new());
-        test(CollateralGraph::reference());
-    }
-
     #[test]
     fn simple_attack_accrues_only_while_linked() {
-        both(|mut graph| {
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(1.0));
-            assert!(
-                graph.collateral_total(uid(1)).is_zero(),
-                "nothing before begin"
-            );
+        let mut graph = CollateralGraph::new();
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(1.0));
+        assert!(
+            graph.collateral_total(uid(1)).is_zero(),
+            "nothing before begin"
+        );
 
-            let tokens = graph.begin(uid(1), Entity::App(uid(2)), false);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(2.0));
-            graph.end(&tokens);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(4.0));
-            assert!((graph.collateral_total(uid(1)).as_joules() - 2.0).abs() < 1e-12);
-        });
+        let tokens = graph.begin(uid(1), Entity::App(uid(2)), false);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(2.0));
+        graph.end(&tokens);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(4.0));
+        assert!((graph.collateral_total(uid(1)).as_joules() - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn multi_collateral_attack_counts_energy_once() {
         // Figure 6: A binds B, starts B, interrupts B — three live links,
         // but B's joules are charged to A once each.
-        both(|mut graph| {
-            let t1 = graph.begin(uid(1), Entity::App(uid(2)), true);
-            let t2 = graph.begin(uid(1), Entity::App(uid(2)), false);
-            let t3 = graph.begin(uid(1), Entity::App(uid(2)), false);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 3);
+        let mut graph = CollateralGraph::new();
+        let t1 = graph.begin(uid(1), Entity::App(uid(2)), true);
+        let t2 = graph.begin(uid(1), Entity::App(uid(2)), false);
+        let t3 = graph.begin(uid(1), Entity::App(uid(2)), false);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 3);
 
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(10.0));
-            assert!((graph.collateral_total(uid(1)).as_joules() - 10.0).abs() < 1e-12);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(10.0));
+        assert!((graph.collateral_total(uid(1)).as_joules() - 10.0).abs() < 1e-12);
 
-            // Ending two of three attacks keeps the relation alive.
-            graph.end(&t1);
-            graph.end(&t2);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(5.0));
-            assert!((graph.collateral_total(uid(1)).as_joules() - 15.0).abs() < 1e-12);
+        // Ending two of three attacks keeps the relation alive.
+        graph.end(&t1);
+        graph.end(&t2);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(5.0));
+        assert!((graph.collateral_total(uid(1)).as_joules() - 15.0).abs() < 1e-12);
 
-            // Only after the last end does charging stop (§IV-B).
-            graph.end(&t3);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(100.0));
-            assert!((graph.collateral_total(uid(1)).as_joules() - 15.0).abs() < 1e-12);
-        });
+        // Only after the last end does charging stop (§IV-B).
+        graph.end(&t3);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(100.0));
+        assert!((graph.collateral_total(uid(1)).as_joules() - 15.0).abs() < 1e-12);
     }
 
     #[test]
     fn chain_propagates_to_parents() {
         // Figure 7: A binds B; B starts C; C attacks the screen.
-        both(|mut graph| {
-            let _ab = graph.begin(uid(1), Entity::App(uid(2)), true);
-            let _bc = graph.begin(uid(2), Entity::App(uid(3)), false);
-            // A's map gained C through parent propagation.
-            assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 1);
+        let mut graph = CollateralGraph::new();
+        let _ab = graph.begin(uid(1), Entity::App(uid(2)), true);
+        let _bc = graph.begin(uid(2), Entity::App(uid(3)), false);
+        // A's map gained C through parent propagation.
+        assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 1);
 
-            let _cs = graph.begin(uid(3), Entity::Screen, false);
-            // The screen lands in C's, B's and A's maps.
-            assert_eq!(graph.links(uid(3), Entity::Screen), 1);
-            assert_eq!(graph.links(uid(2), Entity::Screen), 1);
-            assert_eq!(graph.links(uid(1), Entity::Screen), 1);
+        let _cs = graph.begin(uid(3), Entity::Screen, false);
+        // The screen lands in C's, B's and A's maps.
+        assert_eq!(graph.links(uid(3), Entity::Screen), 1);
+        assert_eq!(graph.links(uid(2), Entity::Screen), 1);
+        assert_eq!(graph.links(uid(1), Entity::Screen), 1);
 
-            graph.accrue(Entity::Screen, Energy::from_joules(3.0));
-            graph.accrue(Entity::App(uid(3)), Energy::from_joules(2.0));
-            assert!((graph.collateral_total(uid(1)).as_joules() - 5.0).abs() < 1e-12);
-            assert!((graph.collateral_total(uid(2)).as_joules() - 5.0).abs() < 1e-12);
-            assert!((graph.collateral_total(uid(3)).as_joules() - 3.0).abs() < 1e-12);
-        });
+        graph.accrue(Entity::Screen, Energy::from_joules(3.0));
+        graph.accrue(Entity::App(uid(3)), Energy::from_joules(2.0));
+        assert!((graph.collateral_total(uid(1)).as_joules() - 5.0).abs() < 1e-12);
+        assert!((graph.collateral_total(uid(2)).as_joules() - 5.0).abs() < 1e-12);
+        assert!((graph.collateral_total(uid(3)).as_joules() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn service_merge_pulls_existing_children() {
         // B already binds C (energy-intensive service); then A binds B:
         // Algorithm 1 lines 11–15 give A a link to C immediately.
-        both(|mut graph| {
-            let _bc = graph.begin(uid(2), Entity::App(uid(3)), true);
-            let ab = graph.begin(uid(1), Entity::App(uid(2)), true);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 1);
+        let mut graph = CollateralGraph::new();
+        let _bc = graph.begin(uid(2), Entity::App(uid(3)), true);
+        let ab = graph.begin(uid(1), Entity::App(uid(2)), true);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 1);
 
-            // The merged link is A→B's token: ending A→B revokes it.
-            graph.end(&ab);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 0);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 0);
-            // B→C is untouched.
-            assert_eq!(graph.links(uid(2), Entity::App(uid(3))), 1);
-        });
+        // The merged link is A→B's token: ending A→B revokes it.
+        graph.end(&ab);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(3))), 0);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 0);
+        // B→C is untouched.
+        assert_eq!(graph.links(uid(2), Entity::App(uid(3))), 1);
     }
 
     #[test]
     fn non_service_begin_does_not_merge_children() {
-        both(|mut graph| {
-            let _bc = graph.begin(uid(2), Entity::App(uid(3)), true);
-            let _ab = graph.begin(uid(1), Entity::App(uid(2)), false);
-            assert_eq!(
-                graph.links(uid(1), Entity::App(uid(3))),
-                0,
-                "activity starts do not merge the driven app's map"
-            );
-        });
+        let mut graph = CollateralGraph::new();
+        let _bc = graph.begin(uid(2), Entity::App(uid(3)), true);
+        let _ab = graph.begin(uid(1), Entity::App(uid(2)), false);
+        assert_eq!(
+            graph.links(uid(1), Entity::App(uid(3))),
+            0,
+            "activity starts do not merge the driven app's map"
+        );
     }
 
     #[test]
     fn ended_entries_keep_their_energy_on_record() {
-        both(|mut graph| {
-            let tokens = graph.begin(uid(1), Entity::App(uid(2)), false);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(7.0));
-            graph.end(&tokens);
-            let rows = graph.collateral_of(uid(1));
-            assert_eq!(rows.len(), 1);
-            assert!((rows[0].1.as_joules() - 7.0).abs() < 1e-12);
-            assert!(!graph.any_live_links());
-        });
+        let mut graph = CollateralGraph::new();
+        let tokens = graph.begin(uid(1), Entity::App(uid(2)), false);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(7.0));
+        graph.end(&tokens);
+        let rows = graph.collateral_of(uid(1));
+        assert_eq!(rows.len(), 1);
+        assert!((rows[0].1.as_joules() - 7.0).abs() < 1e-12);
+        assert!(!graph.any_live_links());
     }
 
     #[test]
     fn self_links_are_refused() {
-        both(|mut graph| {
-            let tokens = graph.begin(uid(1), Entity::App(uid(1)), false);
-            assert!(tokens.is_empty());
-            assert_eq!(graph.links(uid(1), Entity::App(uid(1))), 0);
-        });
+        let mut graph = CollateralGraph::new();
+        let tokens = graph.begin(uid(1), Entity::App(uid(1)), false);
+        assert!(tokens.is_empty());
+        assert_eq!(graph.links(uid(1), Entity::App(uid(1))), 0);
     }
 
     #[test]
     fn cycle_does_not_self_charge() {
         // A drives B, B drives A: each gets the other, nobody self-links.
-        both(|mut graph| {
-            let _ab = graph.begin(uid(1), Entity::App(uid(2)), false);
-            let _ba = graph.begin(uid(2), Entity::App(uid(1)), false);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(1))), 0);
-            assert_eq!(graph.links(uid(2), Entity::App(uid(2))), 0);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 1);
-            assert_eq!(graph.links(uid(2), Entity::App(uid(1))), 1);
-        });
+        let mut graph = CollateralGraph::new();
+        let _ab = graph.begin(uid(1), Entity::App(uid(2)), false);
+        let _ba = graph.begin(uid(2), Entity::App(uid(1)), false);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(1))), 0);
+        assert_eq!(graph.links(uid(2), Entity::App(uid(2))), 0);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 1);
+        assert_eq!(graph.links(uid(2), Entity::App(uid(1))), 1);
     }
 
     #[test]
     fn end_is_token_exact() {
-        both(|mut graph| {
-            let t1 = graph.begin(uid(1), Entity::App(uid(2)), false);
-            let _t2 = graph.begin(uid(1), Entity::App(uid(2)), false);
-            graph.end(&t1);
-            assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 1);
-            graph.end(&t1); // double-end of the same token set saturates
-            assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 0);
-        });
+        let mut graph = CollateralGraph::new();
+        let t1 = graph.begin(uid(1), Entity::App(uid(2)), false);
+        let _t2 = graph.begin(uid(1), Entity::App(uid(2)), false);
+        graph.end(&t1);
+        assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 1);
+        graph.end(&t1); // double-end of the same token set saturates
+        assert_eq!(graph.links(uid(1), Entity::App(uid(2))), 0);
     }
 
     #[test]
-    fn dense_and_reference_storages_compare_and_serialize_equal() {
-        let mut dense = CollateralGraph::new();
-        let mut reference = CollateralGraph::reference();
-        for graph in [&mut dense, &mut reference] {
-            let ab = graph.begin(uid(1), Entity::App(uid(2)), true);
-            let _bc = graph.begin(uid(2), Entity::Screen, false);
-            graph.accrue(Entity::App(uid(2)), Energy::from_joules(1.5));
-            graph.accrue(Entity::Screen, Energy::from_joules(0.5));
-            graph.end(&ab);
-        }
-        assert_eq!(dense, reference);
-        let dense_json = serde_json::to_string(&dense).unwrap();
-        let reference_json = serde_json::to_string(&reference).unwrap();
-        assert_eq!(dense_json, reference_json);
-
-        let roundtrip: CollateralGraph = serde_json::from_str(&dense_json).unwrap();
-        assert_eq!(roundtrip, dense);
-        assert!(!roundtrip.is_reference());
+    fn serialized_graphs_round_trip() {
+        let mut graph = CollateralGraph::new();
+        let ab = graph.begin(uid(1), Entity::App(uid(2)), true);
+        let _bs = graph.begin(uid(2), Entity::Screen, false);
+        graph.accrue(Entity::App(uid(2)), Energy::from_joules(1.5));
+        graph.accrue(Entity::Screen, Energy::from_joules(0.5));
+        graph.end(&ab);
+        let json = serde_json::to_string(&graph).unwrap();
+        let mut roundtrip: CollateralGraph = serde_json::from_str(&json).unwrap();
+        assert_eq!(roundtrip, graph);
+        assert_eq!(serde_json::to_string(&roundtrip).unwrap(), json);
+        // The rebuilt link index keeps accruing exactly the live links.
+        roundtrip.accrue(Entity::Screen, Energy::from_joules(1.0));
+        graph.accrue(Entity::Screen, Energy::from_joules(1.0));
+        assert_eq!(roundtrip, graph);
     }
 
     #[test]

@@ -61,18 +61,9 @@ pub struct CollateralMonitor {
 }
 
 impl CollateralMonitor {
-    /// A monitor with no open attack periods, on the dense graph storage.
+    /// A monitor with no open attack periods.
     pub fn new() -> Self {
         CollateralMonitor::default()
-    }
-
-    /// A monitor whose graph runs on the reference (nested-map) storage —
-    /// the pre-optimization baseline used for validation and benchmarking.
-    pub fn reference() -> Self {
-        CollateralMonitor {
-            graph: CollateralGraph::reference(),
-            ..CollateralMonitor::default()
-        }
     }
 
     /// Attaches a telemetry sink: attack open/close and lifecycle

@@ -11,7 +11,7 @@ use ea_telemetry::{span, SinkHandle, TelemetryEvent, TelemetrySink};
 
 use ea_power::Component;
 
-use crate::accounting::{attribute, attribute_into, collateral_consumers_into};
+use crate::accounting::{attribute_into, collateral_consumers_into};
 use crate::{
     CollateralGraph, CollateralMonitor, EnergyLedger, Entity, ProfilerChaos, RoutineLedger,
     ScreenPolicy,
@@ -52,12 +52,9 @@ pub struct Profiler {
     routines: Option<RoutineLedger>,
     integrated: Energy,
     telemetry: SinkHandle,
-    /// Run the original (pre-optimization) allocating step path against the
-    /// reference storages — the validation/benchmark baseline.
-    reference: bool,
     /// Fault injection + counter sanitization, when chaos is attached.
     chaos: Option<Box<ProfilerChaos>>,
-    /// Sim-time windowed metrics, accrued in-line on the optimized step:
+    /// Sim-time windowed metrics, accrued in-line on the step:
     /// a concrete type (no sink virtual call) so metrics-on stays at the
     /// step benchmark's noise floor.
     metrics: Option<Box<ProfilerMetrics>>,
@@ -65,7 +62,7 @@ pub struct Profiler {
     /// replayed while the usage holds still.
     plan: StepPlan,
     /// Scratch buffers recycled across steps so a steady-state tick makes
-    /// no heap allocations on the optimized path.
+    /// no heap allocations.
     events_scratch: Vec<TimedEvent>,
     /// Per-interval per-app charge accumulator (telemetry only).
     interval_charges_scratch: Vec<(ea_sim::Uid, f64)>,
@@ -90,7 +87,6 @@ impl Profiler {
             routines: None,
             integrated: Energy::ZERO,
             telemetry: SinkHandle::noop(),
-            reference: false,
             chaos: None,
             metrics: None,
             plan: StepPlan::default(),
@@ -162,27 +158,6 @@ impl Profiler {
         self
     }
 
-    /// Switches this profiler to the reference (pre-optimization) path:
-    /// nested-map ledger and graph storages driven by the original
-    /// per-tick-allocating step. Observable results are identical to the
-    /// default optimized path — the golden/property tests assert it and the
-    /// `hotloop` bench suite measures the gap. Call before the first step.
-    pub fn with_reference_accounting(mut self) -> Self {
-        self.reference = true;
-        self.ledger = EnergyLedger::reference();
-        if let Some(monitor) = &mut self.monitor {
-            let mut reference = CollateralMonitor::reference();
-            reference.set_telemetry(self.telemetry.clone());
-            *monitor = reference;
-        }
-        self
-    }
-
-    /// Whether this profiler runs the reference (pre-optimization) path.
-    pub fn is_reference(&self) -> bool {
-        self.reference
-    }
-
     /// Attaches seeded kernel-counter fault injection: every step the
     /// per-component counter readings pass through the injector and the
     /// counter sanitizer before any energy reaches the ledger. The battery
@@ -200,14 +175,10 @@ impl Profiler {
         self.chaos.as_deref()
     }
 
-    /// Enables sim-time windowed metrics: every optimized step accrues
+    /// Enables sim-time windowed metrics: every step accrues
     /// its battery drain into the window ring described by `spec` (see
     /// [`ea_metrics::ProfilerMetrics`]). Accounting results are
-    /// untouched; the per-step cost is a branch and a few adds. The
-    /// reference path ([`with_reference_accounting`]) is preserved
-    /// verbatim as a benchmark baseline and does not accrue metrics.
-    ///
-    /// [`with_reference_accounting`]: Profiler::with_reference_accounting
+    /// untouched; the per-step cost is a branch and a few adds.
     pub fn with_metrics(mut self, spec: WindowSpec) -> Self {
         self.metrics = Some(Box::new(ProfilerMetrics::new(spec)));
         self
@@ -246,7 +217,7 @@ impl Profiler {
     /// Advances the handset by one integration step and accounts the
     /// interval.
     ///
-    /// The optimized path (default) keeps a step plan: the usage snapshot,
+    /// The step keeps a plan: the usage snapshot,
     /// the component draws, and every draw's attribution charges and
     /// collateral consumers from the last step that recomputed them.
     /// While the framework's [`usage_epoch`] and the radios' outputs hold
@@ -256,15 +227,9 @@ impl Profiler {
     /// profiler rebuilds every step. A steady-state step touches the
     /// allocator zero times; with no telemetry sink attached, no event
     /// payloads, timestamps, or spans are constructed at all.
-    /// [`with_reference_accounting`] switches to the original allocating
-    /// step for baseline comparison.
     ///
     /// [`usage_epoch`]: AndroidSystem::usage_epoch
-    /// [`with_reference_accounting`]: Profiler::with_reference_accounting
     pub fn step(&mut self, android: &mut AndroidSystem) {
-        if self.reference {
-            return self.step_reference(android);
-        }
         let traced = self.telemetry.enabled();
         let _step_span = traced.then(|| span(self.telemetry.sink(), "profiler_step"));
         let dt = self.step;
@@ -364,81 +329,7 @@ impl Profiler {
         self.interval_charges_scratch = interval_charges;
     }
 
-    /// The original per-tick-allocating step, preserved verbatim as the
-    /// baseline the `hotloop` bench suite and golden tests measure the
-    /// optimized path against.
-    fn step_reference(&mut self, android: &mut AndroidSystem) {
-        let _step_span = span(self.telemetry.sink(), "profiler_step");
-        let traced = self.telemetry.enabled();
-        let dt = self.step;
-        android.advance(dt);
-        let events = android.drain_events();
-        if let Some(monitor) = &mut self.monitor {
-            let _observe_span = span(self.telemetry.sink(), "collateral_observe");
-            monitor.observe(&events);
-        }
-        let usage = android.usage_snapshot();
-        let mut draws = self.model.draws(android.now(), &usage);
-        let drained_before = self.battery.drained();
-        // Chaos pre-pass, mirrored from the optimized path so both backends
-        // see the identical sanitized draw stream.
-        let predrained = match &mut self.chaos {
-            Some(chaos) => {
-                chaos.apply(&mut draws, dt, &mut self.battery, &self.telemetry);
-                true
-            }
-            None => false,
-        };
-        let mut interval_charges: Vec<(ea_sim::Uid, f64)> = Vec::new();
-        {
-            let _attribute_span = span(self.telemetry.sink(), "attribute");
-            let attribute_started = std::time::Instant::now();
-            for draw in &draws {
-                let energy = Energy::from_power(draw.power_mw, dt);
-                self.integrated += energy;
-                if !predrained {
-                    let _ = self.battery.drain(energy);
-                }
-                for (entity, charge) in attribute(draw, dt, self.policy) {
-                    if traced {
-                        if let Some(uid) = entity.uid() {
-                            match interval_charges.iter_mut().find(|(u, _)| *u == uid) {
-                                Some((_, joules)) => *joules += charge.as_joules(),
-                                None => interval_charges.push((uid, charge.as_joules())),
-                            }
-                        }
-                    }
-                    self.ledger.charge(entity, draw.component, charge);
-                }
-                if draw.component == Component::Cpu {
-                    if let Some(routines) = &mut self.routines {
-                        for user in &draw.users {
-                            let share = energy * user.share.clamp(0.0, 1.0);
-                            let parts = android.demand_breakdown(user.uid);
-                            routines.charge_split(user.uid, share, &parts);
-                        }
-                    }
-                }
-            }
-            if traced {
-                self.telemetry.observe(
-                    "attribution_interval_us",
-                    attribute_started.elapsed().as_secs_f64() * 1e6,
-                );
-            }
-        }
-        if let Some(monitor) = &mut self.monitor {
-            monitor.accrue(&draws, dt);
-        }
-        if traced {
-            let mut staged = std::mem::take(&mut self.staged_events);
-            self.emit_step_events(android, &interval_charges, drained_before, &mut staged);
-            self.staged_events = staged;
-        }
-    }
-
-    /// Per-step telemetry tail, shared by both step paths and only reached
-    /// with an enabled sink. Events are staged into a recycled buffer and
+    /// Per-step telemetry tail, only reached with an enabled sink. Events are staged into a recycled buffer and
     /// flushed through one batched sink call, so an enabled sink costs one
     /// lock round per step instead of one per event; the staged order —
     /// attributions in first-charge order, then the battery drain — matches
@@ -765,24 +656,56 @@ mod tests {
     }
 
     #[test]
-    fn staged_trace_is_byte_identical_across_paths() {
-        let run = |reference: bool| {
+    fn tracing_leaves_accounting_unchanged_and_attributions_sum_to_the_ledger() {
+        let run = |traced: bool| {
             let mut android = busy_handset();
             let recorder = Arc::new(ea_telemetry::Recorder::new());
-            let mut profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity)
-                .with_telemetry(recorder.clone() as Arc<dyn TelemetrySink>);
-            if reference {
-                profiler = profiler.with_reference_accounting();
+            let mut profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity);
+            if traced {
+                profiler = profiler.with_telemetry(recorder.clone() as Arc<dyn TelemetrySink>);
             }
             profiler.run(&mut android, SimDuration::from_secs(30));
-            recorder.events()
+            (profiler, recorder.events())
         };
-        let optimized = run(false);
-        let reference = run(true);
-        assert!(!optimized.is_empty());
+        let (bare, none) = run(false);
+        let (traced, events) = run(true);
+        assert!(none.is_empty(), "an untraced run records nothing");
         assert_eq!(
-            optimized, reference,
-            "the staged batched flush must leave the event stream unchanged"
+            serde_json::to_string(bare.ledger()).unwrap(),
+            serde_json::to_string(traced.ledger()).unwrap(),
+            "tracing must not move a byte of the ledger"
         );
+        assert_eq!(
+            serde_json::to_string(bare.collateral().unwrap()).unwrap(),
+            serde_json::to_string(traced.collateral().unwrap()).unwrap(),
+            "tracing must not move a byte of the collateral graph"
+        );
+
+        let mut attributed: std::collections::BTreeMap<u32, f64> = Default::default();
+        for record in &events {
+            if let TelemetryEvent::Attribution { uid, joules } = record.event {
+                *attributed.entry(uid).or_default() += joules;
+            }
+        }
+        let ledger = traced.ledger();
+        let apps: Vec<u32> = ledger
+            .entities()
+            .filter_map(|entity| entity.uid().map(ea_sim::Uid::as_raw))
+            .collect();
+        assert!(!apps.is_empty());
+        assert_eq!(
+            attributed.keys().copied().collect::<Vec<_>>(),
+            apps,
+            "every charged app has attribution events, and only those"
+        );
+        for (uid, joules) in attributed {
+            let total = ledger
+                .total_of(Entity::App(ea_sim::Uid::from_raw(uid)))
+                .as_joules();
+            assert!(
+                (joules - total).abs() <= 1e-9 * total.abs(),
+                "uid {uid}: attribution events sum to {joules} J, ledger says {total} J"
+            );
+        }
     }
 }

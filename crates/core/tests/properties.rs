@@ -154,83 +154,6 @@ proptest! {
     }
 
     #[test]
-    fn dense_and_reference_ledgers_agree(
-        charges in proptest::collection::vec((0u32..70_000, 0usize..7, 0.001f64..50.0), 1..80),
-        to_screen in proptest::collection::vec(any::<bool>(), 1..80)
-    ) {
-        // The slot-interned dense ledger and the string-keyed reference
-        // ledger must be observationally identical on any charge stream —
-        // including uids far outside the interner's direct-index window.
-        let mut dense = EnergyLedger::new();
-        let mut reference = EnergyLedger::reference();
-        for (index, (n, component_index, joules)) in charges.iter().enumerate() {
-            let entity = if to_screen[index % to_screen.len()] {
-                Entity::Screen
-            } else {
-                Entity::App(uid(*n))
-            };
-            let energy = Energy::from_joules(*joules);
-            dense.charge(entity, Component::ALL[*component_index], energy);
-            reference.charge(entity, Component::ALL[*component_index], energy);
-        }
-        prop_assert_eq!(dense.clone(), reference.clone(), "PartialEq across storages");
-        let dense_bytes = serde_json::to_string(&dense).unwrap();
-        let reference_bytes = serde_json::to_string(&reference).unwrap();
-        prop_assert_eq!(dense_bytes, reference_bytes, "serialized bytes across storages");
-        let dense_entities: Vec<Entity> = dense.entities().collect();
-        let reference_entities: Vec<Entity> = reference.entities().collect();
-        prop_assert_eq!(dense_entities, reference_entities, "entity iteration order");
-    }
-
-    #[test]
-    fn dense_and_reference_graphs_agree(
-        ops in proptest::collection::vec(graph_op(), 1..150)
-    ) {
-        let mut dense = CollateralGraph::new();
-        let mut reference = CollateralGraph::reference();
-        let mut open: Vec<(Vec<ea_core::LinkToken>, Vec<ea_core::LinkToken>)> = Vec::new();
-        for op in ops {
-            match op {
-                GraphOp::Begin { driving, driven, service, to_screen } => {
-                    let target = if to_screen { Entity::Screen } else { Entity::App(uid(driven)) };
-                    let a = dense.begin(uid(driving), target, service);
-                    let b = reference.begin(uid(driving), target, service);
-                    prop_assert_eq!(&a, &b, "begin returns the same tokens");
-                    open.push((a, b));
-                }
-                GraphOp::EndOldest => {
-                    if !open.is_empty() {
-                        let (a, b) = open.remove(0);
-                        dense.end(&a);
-                        reference.end(&b);
-                    }
-                }
-                GraphOp::Accrue { entity, joules, screen } => {
-                    let target = if screen { Entity::Screen } else { Entity::App(uid(entity)) };
-                    dense.accrue(target, Energy::from_joules(joules));
-                    reference.accrue(target, Energy::from_joules(joules));
-                }
-            }
-            prop_assert_eq!(dense.any_live_links(), reference.any_live_links());
-        }
-        for host in reference.hosts() {
-            // Bit-identical accrual, not approximate: the dense row sums
-            // in the same order the reference path adds.
-            prop_assert_eq!(
-                dense.collateral_total(host).as_joules().to_bits(),
-                reference.collateral_total(host).as_joules().to_bits(),
-                "host {:?} total", host
-            );
-        }
-        prop_assert_eq!(dense.clone(), reference.clone(), "PartialEq across storages");
-        prop_assert_eq!(
-            serde_json::to_string(&dense).unwrap(),
-            serde_json::to_string(&reference).unwrap(),
-            "serialized bytes across storages"
-        );
-    }
-
-    #[test]
     fn chain_depth_propagation_reaches_all_ancestors(depth in 1usize..10) {
         // a0 -> a1 -> ... -> a_depth, all service-like; then the leaf
         // attacks the screen: every ancestor's map must hold the screen.

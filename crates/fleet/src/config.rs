@@ -46,12 +46,6 @@ pub struct FleetConfig {
     /// Device indices whose workload deliberately panics (fault-injection
     /// testing of the shard-failure path).
     pub panic_devices: Vec<usize>,
-    /// Run every device's profiler on the pre-optimization reference
-    /// accounting path. Produces the same report (the two paths are
-    /// byte-equivalent by contract); exists so benchmarks can measure the
-    /// hot-loop speedup on the full fleet workload in a single run.
-    #[serde(default)]
-    pub reference_accounting: bool,
     /// Fault-injection plan, applied to every device on its own lane
     /// (counter glitches, framework faults, device panics, slow devices,
     /// poisoned corpus entries). `None` — or a zero-rate plan — leaves the
@@ -65,9 +59,9 @@ pub struct FleetConfig {
     /// Flight-recorder ring capacity: each device keeps this many recent
     /// telemetry events, attached to its [`crate::DeviceFailure`] if it
     /// is abandoned. `0` (the default) disables the recorder — it routes
-    /// every framework/profiler emission through a sink, which the
-    /// `hotloop` suite prices at several times the bare step, so it is
-    /// strictly opt-in. The ring is sim-time stamped, so enabling it
+    /// every framework/profiler emission through a sink, which costs
+    /// several times the bare step (the benchmark's traced run reports it
+    /// as `trace.overhead_per_s`), so it is strictly opt-in. The ring is sim-time stamped, so enabling it
     /// never changes the report of devices that complete.
     #[serde(default)]
     pub flight_recorder: usize,
@@ -94,7 +88,6 @@ impl Default for FleetConfig {
             mean_idle_secs: 45,
             step_millis: 250,
             panic_devices: Vec::new(),
-            reference_accounting: false,
             faults: None,
             max_retries: default_max_retries(),
             flight_recorder: 0,
@@ -119,8 +112,7 @@ impl FleetConfig {
     }
 
     /// This configuration with every execution-only knob reset to its
-    /// default: worker count, reference accounting, and the
-    /// flight-recorder capacity. None of these may change a device's
+    /// default: worker count and the flight-recorder capacity. None of these may change a device's
     /// outcome, so two runs that are byte-identical by contract normalize
     /// to the same config — which is what lets [`crate::FleetReport`]
     /// embed it as the replay recipe.
@@ -128,7 +120,6 @@ impl FleetConfig {
     pub fn normalized_for_replay(&self) -> Self {
         FleetConfig {
             jobs: 0,
-            reference_accounting: false,
             flight_recorder: 0,
             // A zero-rate plan is a strict no-op by contract, so it
             // normalizes away: attaching one must not change the report.

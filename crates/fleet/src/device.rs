@@ -251,9 +251,6 @@ pub(crate) fn simulate_device_forensic(
     if let Some(handle) = flight {
         profiler.set_telemetry_handle(handle.clone());
     }
-    if config.reference_accounting {
-        profiler = profiler.with_reference_accounting();
-    }
     if let Some(plan) = plan {
         profiler = profiler.with_chaos(plan.power_faults(lane));
     }
@@ -677,22 +674,6 @@ mod tests {
         let a = simulate_device(&config, &corpus, 0);
         let b = simulate_device(&config, &corpus, 0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reference_accounting_is_result_equivalent() {
-        let config = FleetConfig::smoke(1, 99);
-        let corpus = corpus_for(&config);
-        let optimized = simulate_device(&config, &corpus, 0);
-        let reference = simulate_device(
-            &FleetConfig {
-                reference_accounting: true,
-                ..config
-            },
-            &corpus,
-            0,
-        );
-        assert_eq!(optimized, reference, "slot-interned path must match");
     }
 
     #[test]

@@ -84,7 +84,10 @@ COMMANDS:
         --flight-recorder N        keep the last N telemetry events per device,
                                    dumped into the report on device abandonment
     replay <report.json>    re-execute every failure recorded in a fleet
-                            report and verify it reproduces exactly
+                            report and verify it reproduces exactly; exit 1
+                            on a divergence, exit 2 if the report is
+                            unreadable, not a fleet report, or embeds a
+                            fault rate outside [0, 1]
         --healthy N                also re-simulate N completed devices
                                    and diff them against their rows
         --json                     emit the replay verdicts as JSON
@@ -567,8 +570,9 @@ fn cmd_fleet(args: &[&str]) -> ExitCode {
 /// report's embedded replay config, diffing panic message, attempt
 /// count, salvaged checkpoint, and the lifecycle intent-log tail against
 /// the recorded bundle. `--healthy N` additionally re-simulates a strided
-/// sample of completed devices as a divergence detector. Exits non-zero
-/// on any mismatch: a divergence means nondeterminism, not noise.
+/// sample of completed devices as a divergence detector. Exits 1 on any
+/// mismatch (a divergence means nondeterminism, not noise) and 2 when the
+/// report cannot be used, before any device runs.
 fn cmd_replay(args: &[&str]) -> ExitCode {
     let path = match args.first() {
         Some(&arg) if !arg.starts_with("--") => arg,
@@ -577,23 +581,34 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let healthy: usize = match parse_flag("replay", args, "--healthy") {
+        Ok(healthy) => healthy.unwrap_or(0),
+        Err(message) => {
+            eprintln!("{message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let unusable = ExitCode::from(2);
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(error) => {
             eprintln!("replay: cannot read {path}: {error}");
-            return ExitCode::FAILURE;
+            return unusable;
         }
     };
     let report: e_android::fleet::FleetReport = match serde_json::from_str(&text) {
         Ok(report) => report,
         Err(error) => {
             eprintln!("replay: {path} is not a fleet report: {error}");
-            return ExitCode::FAILURE;
+            return unusable;
         }
     };
-    let healthy: usize = flag_value(args, "--healthy")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(0);
+    if let Some(plan) = &report.replay_config.faults {
+        if let Err(error) = plan.rates.validate() {
+            eprintln!("replay: {path} embeds a bad fault plan: {error}");
+            return unusable;
+        }
+    }
 
     let verdicts = e_android::fleet::replay_report(&report, healthy);
     if has_flag(args, "--json") {

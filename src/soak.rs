@@ -8,8 +8,8 @@
 //!    recorded failure. The profiling pipeline itself never unwinds.
 //! 2. **Conservation** — energy attributed after sanitization never
 //!    exceeds the true energy drawn from the battery.
-//! 3. **Determinism** — the dense and reference accounting backends stay
-//!    byte-identical under identical fault plans, and a zero-rate plan is
+//! 3. **Determinism** — a second run of the same fault plan on the same
+//!    lane is byte-identical to the first, and a zero-rate plan is
 //!    byte-identical to no plan at all.
 //! 4. **Verdict stability** — sub-threshold measurement noise (counter
 //!    glitches only) never changes which attacks the monitor detects.
@@ -159,7 +159,7 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
             ));
         }
 
-        // Escalation ladder: full fault mix, conservation and backend
+        // Escalation ladder: full fault mix, conservation and rerun
         // identity checked at every rate.
         for &rate in escalation {
             let plan = FaultPlan::uniform(config.seed, rate);
@@ -206,23 +206,23 @@ pub fn run_soak(config: &SoakConfig) -> SoakReport {
                 }
             }
 
-            // Invariant 3b: dense and reference accounting agree byte-
-            // for-byte under the identical plan.
-            let reference = panic::catch_unwind(AssertUnwindSafe(|| {
-                scenario.run_chaos(profiler().with_reference_accounting(), &plan, lane)
+            // Invariant 3b: the same plan on the same lane reproduces the
+            // run byte for byte.
+            let rerun = panic::catch_unwind(AssertUnwindSafe(|| {
+                scenario.run_chaos(profiler(), &plan, lane)
             }));
             report.scenario_runs += 1;
-            match reference {
-                Ok(reference) => {
-                    if run_digest(&reference) != run_digest(&run) {
+            match rerun {
+                Ok(rerun) => {
+                    if run_digest(&rerun) != run_digest(&run) {
                         report.violations.push(format!(
-                            "{name}: dense and reference accounting diverged at rate {rate}"
+                            "{name}: a rerun of the same plan diverged at rate {rate}"
                         ));
                     }
                 }
                 Err(_) => report
                     .violations
-                    .push(format!("{name}: reference path panicked at rate {rate}")),
+                    .push(format!("{name}: rerun panicked at rate {rate}")),
             }
         }
     }

@@ -44,6 +44,28 @@ fn unparsable_numeric_flags_exit_non_zero_naming_the_flag() {
     }
 }
 
+#[test]
+fn replay_refuses_an_unparsable_healthy_count() {
+    let fixture = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/report_v5_oracle_keys.json");
+    let output = Command::new(env!("CARGO_BIN_EXE_eandroid"))
+        .arg("replay")
+        .arg(fixture)
+        .args(["--healthy", "abc"])
+        .output()
+        .unwrap_or_else(|error| panic!("run eandroid replay: {error}"));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!output.status.success(), "replay --healthy abc exited 0");
+    assert!(
+        stderr.contains("--healthy") && stderr.contains("abc"),
+        "replay --healthy abc: stderr does not name the flag: {stderr}"
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "replay --healthy abc replayed anyway"
+    );
+}
+
 /// Runs `eandroid lint <args>`.
 fn lint(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_eandroid"))

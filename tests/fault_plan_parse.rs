@@ -1,6 +1,8 @@
 //! Fuzzing the `--faults` plan-file input: a JSON plan with any rate
 //! outside `[0, 1]` is refused by `fleet` and `scenario` with exit code 1
-//! and a message naming the field, never run and never a panic.
+//! and a message naming the field, never run and never a panic. A fleet
+//! report handed to `replay` gets the same check on the plan its replay
+//! config embeds, and is refused with exit code 2 before any device runs.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -84,6 +86,58 @@ proptest! {
                 assert_refused(&["scenario", "scene1_message_video"], &path, field);
                 let _ = std::fs::remove_file(&path);
             }
+        }
+    }
+}
+
+/// `text` with the first `"<field>": <number>` after `"rates"` — the
+/// replay config's embedded plan — set to `value`.
+fn with_rate(text: &str, field: &str, value: &str) -> String {
+    let rates = text.find("\"rates\"").expect("report embeds a fault plan");
+    let key = format!("\"{field}\":");
+    let start = rates + text[rates..].find(&key).expect("plan names every field") + key.len();
+    let number = start
+        + text[start..]
+            .find(|c: char| !c.is_whitespace())
+            .expect("a value");
+    let end = number
+        + text[number..]
+            .find(|c: char| c == ',' || c == '}' || c.is_whitespace())
+            .expect("value ends");
+    format!("{}{value}{}", &text[..number], &text[end..])
+}
+
+/// Every field × {negative, over one, huge}: `replay` exits 2 naming the
+/// field, and prints no verdict.
+#[test]
+fn replay_refuses_a_report_whose_plan_has_any_out_of_range_rate() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/report_v5_oracle_keys.json");
+    let text = std::fs::read_to_string(fixture).expect("read fixture report");
+    for field in rate_fields() {
+        for (tag, value) in [("negative", "-3.0"), ("over-one", "7.0"), ("huge", "1e308")] {
+            let path = plan_path(&format!("report-{field}-{tag}"));
+            std::fs::write(&path, with_rate(&text, field, value)).expect("write report");
+            let output = Command::new(env!("CARGO_BIN_EXE_eandroid"))
+                .arg("replay")
+                .arg(&path)
+                .output()
+                .unwrap_or_else(|error| panic!("run eandroid replay: {error}"));
+            let _ = std::fs::remove_file(&path);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(
+                output.status.code(),
+                Some(2),
+                "replay with {field} = {value}: {stderr}"
+            );
+            assert!(
+                stderr.contains(field),
+                "replay with {field} = {value}: {stderr} does not name the field"
+            );
+            assert!(
+                output.stdout.is_empty(),
+                "replay with {field} = {value} replayed anyway"
+            );
         }
     }
 }

@@ -1,9 +1,9 @@
 //! Old-report compatibility: a schema-v5 fleet report written while the
-//! power-kernel, scheduler and lifecycle oracle flags still existed
-//! carries `batch_kernel`, `reference_scheduler` and
-//! `reference_lifecycle` in its `replay_config`. Those keys are ignored
-//! on parse, so the report still replays through `replay_report` and
-//! `eandroid replay`.
+//! power-kernel, scheduler, lifecycle and accounting oracle flags still
+//! existed carries `batch_kernel`, `reference_scheduler`,
+//! `reference_lifecycle` and `reference_accounting` in its
+//! `replay_config`. Those keys are ignored on parse, so the report still
+//! replays through `replay_report` and `eandroid replay`.
 //!
 //! The fixture is a faulted smoke fleet (`FleetConfig::smoke(8, 401)`,
 //! `FaultPlan::uniform(401, 0.6)`, one job) rendered by that older code.
@@ -28,6 +28,7 @@ fn fixture_carries_the_removed_replay_config_keys() {
         "\"batch_kernel\"",
         "\"reference_scheduler\"",
         "\"reference_lifecycle\"",
+        "\"reference_accounting\"",
     ] {
         assert!(text.contains(key), "fixture lost {key}");
     }

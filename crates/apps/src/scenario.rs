@@ -131,10 +131,10 @@ impl Scenario {
         self.run_on(AndroidSystem::new(), profiler)
     }
 
-    /// Runs the scenario on a caller-configured system — how the CLI and
-    /// the goldens drive the oracle axes (reference scheduler, reference
-    /// lifecycle) that must be set before the first install. The system
-    /// must be freshly booted: scenarios script from a cold start.
+    /// Runs the scenario on a caller-configured system — how the CLI
+    /// attaches framework faults, which must be in place before the first
+    /// install. The system must be freshly booted: scenarios script from
+    /// a cold start.
     pub fn run_with(self, android: AndroidSystem, profiler: Profiler) -> RunOutput {
         self.run_on(android, profiler)
     }

@@ -199,8 +199,8 @@ pub struct FleetReport {
     /// Compact per-device rows, in index order.
     pub devices: Vec<DeviceRow>,
     /// The simulation-relevant slice of the run's configuration,
-    /// normalized so execution-only knobs (worker count, oracle axes,
-    /// flight-recorder capacity) read as their defaults: any two runs
+    /// normalized so execution-only knobs (worker count, flight-recorder
+    /// capacity, a zero-rate fault plan) read as their defaults: any two runs
     /// that must produce identical reports embed identical configs.
     /// `eandroid replay` reads this to re-execute failures from the
     /// report alone.

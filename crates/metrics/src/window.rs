@@ -3,12 +3,13 @@
 //!
 //! [`ProfilerMetrics`] is deliberately *not* a [`ea_telemetry::TelemetrySink`]:
 //! the sink is a shared `dyn` object behind a virtual call, far too heavy
-//! for a per-step touch (the `hotloop` suite puts the traced path at
-//! several multiples of the bare step). This type is a concrete field the
-//! profiler owns, and its [`on_step`](ProfilerMetrics::on_step) is a
-//! branch plus a handful of adds — the windowed counters, gauge, and the
-//! per-window drain histogram all materialize lazily on window rollover,
-//! so metrics-on stays at the noise floor of the step benchmark.
+//! for a per-step touch (a traced step costs several multiples of the
+//! bare step; the benchmark's traced run reports it as
+//! `trace.overhead_per_s`). This type is a concrete field the profiler
+//! owns, and its [`on_step`](ProfilerMetrics::on_step) is a branch plus a
+//! handful of adds — the windowed counters, gauge, and the per-window
+//! drain histogram all materialize lazily on window rollover, so
+//! metrics-on adds next to nothing to a step.
 
 use std::collections::VecDeque;
 

@@ -93,7 +93,9 @@ impl EnergyLedger {
         row.mask |= 1 << component as u8;
     }
 
-    /// `entity`'s row, created (and marked charged) if missing.
+    /// `entity`'s row, created (and marked charged) if missing. Inlined:
+    /// it is the body of [`charge`](Self::charge), the hottest write.
+    #[inline]
     fn row_mut(&mut self, entity: Entity) -> &mut LedgerRow {
         let slot = self.interner.intern(entity);
         if self.rows.len() <= slot.index() {

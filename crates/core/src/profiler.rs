@@ -54,9 +54,9 @@ pub struct Profiler {
     telemetry: SinkHandle,
     /// Fault injection + counter sanitization, when chaos is attached.
     chaos: Option<Box<ProfilerChaos>>,
-    /// Sim-time windowed metrics, accrued in-line on the step:
-    /// a concrete type (no sink virtual call) so metrics-on stays at the
-    /// step benchmark's noise floor.
+    /// Sim-time windowed metrics, accrued in-line on the step: a concrete
+    /// type (no sink virtual call), so metrics-on adds next to nothing to
+    /// a step.
     metrics: Option<Box<ProfilerMetrics>>,
     /// What the last recomputed step derived from the device's usage,
     /// replayed while the usage holds still.
@@ -175,8 +175,8 @@ impl Profiler {
         self.chaos.as_deref()
     }
 
-    /// Enables sim-time windowed metrics: every step accrues
-    /// its battery drain into the window ring described by `spec` (see
+    /// Enables sim-time windowed metrics: every step accrues its battery
+    /// drain into the window ring described by `spec` (see
     /// [`ea_metrics::ProfilerMetrics`]). Accounting results are
     /// untouched; the per-step cost is a branch and a few adds.
     pub fn with_metrics(mut self, spec: WindowSpec) -> Self {
@@ -217,9 +217,9 @@ impl Profiler {
     /// Advances the handset by one integration step and accounts the
     /// interval.
     ///
-    /// The step keeps a plan: the usage snapshot,
-    /// the component draws, and every draw's attribution charges and
-    /// collateral consumers from the last step that recomputed them.
+    /// The profiler keeps a step plan: the usage snapshot, the component
+    /// draws, and every draw's attribution charges and collateral
+    /// consumers from the last step that recomputed them.
     /// While the framework's [`usage_epoch`] and the radios' outputs hold
     /// still the step replays the plan, applying the same float adds in
     /// the same order, and it rebuilds the plan on the first step where

@@ -200,8 +200,8 @@ pub struct FleetReport {
     pub devices: Vec<DeviceRow>,
     /// The simulation-relevant slice of the run's configuration,
     /// normalized so execution-only knobs (worker count, flight-recorder
-    /// capacity, a zero-rate fault plan) read as their defaults: any two runs
-    /// that must produce identical reports embed identical configs.
+    /// capacity, a zero-rate fault plan) read as their defaults: any two
+    /// runs that must produce identical reports embed identical configs.
     /// `eandroid replay` reads this to re-execute failures from the
     /// report alone.
     #[serde(default)]

@@ -1,6 +1,7 @@
 //! The `eandroid` binary refuses a malformed number instead of running
-//! with the flag's default, and `lint --baseline` keeps a bad baseline
-//! file apart from a regression by its exit code.
+//! with the flag's default, and `lint --baseline` and `replay` keep an
+//! unusable input file apart from a regression or a divergence by their
+//! exit codes.
 
 use std::process::{Command, Output};
 
@@ -64,6 +65,31 @@ fn replay_refuses_an_unparsable_healthy_count() {
         output.stdout.is_empty(),
         "replay --healthy abc replayed anyway"
     );
+}
+
+#[test]
+fn replay_exits_2_when_the_report_is_unusable() {
+    let dir = std::env::temp_dir().join(format!("ea-cli-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap_or_else(|error| panic!("create {dir:?}: {error}"));
+    let truncated = dir.join("truncated.json");
+    std::fs::write(&truncated, "{\"schema_version\": 5, \"fleet_seed\"")
+        .unwrap_or_else(|error| panic!("write {truncated:?}: {error}"));
+    let missing = dir.join("missing.json");
+    for (path, message) in [
+        (&truncated, "is not a fleet report"),
+        (&missing, "cannot read"),
+    ] {
+        let output = Command::new(env!("CARGO_BIN_EXE_eandroid"))
+            .arg("replay")
+            .arg(path)
+            .output()
+            .unwrap_or_else(|error| panic!("run eandroid replay: {error}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{path:?}: {stderr}");
+        assert!(stderr.contains(message), "{path:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{path:?}: replayed anyway");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Runs `eandroid lint <args>`.

@@ -13,7 +13,7 @@
 
 use std::path::PathBuf;
 
-use e_android::apps::{run_depletion, DepletionCase, Scenario};
+use e_android::apps::{run_depletion, DepletionCase, RunOutput, Scenario};
 use e_android::chaos::{FaultPlan, FaultRates};
 use e_android::core::{Profiler, ScreenPolicy};
 use e_android::fleet::{render, run_fleet, FleetConfig};
@@ -55,7 +55,10 @@ fn check_golden(name: &str, actual: &str) {
 /// Serialized `(ledger, collateral graph, battery-drained bits)` of one
 /// scenario run — everything a figure binary reads.
 fn fingerprint(scenario: Scenario, profiler: Profiler) -> (String, String, u64) {
-    let run = scenario.run(profiler);
+    digest(&scenario.run(profiler))
+}
+
+fn digest(run: &RunOutput) -> (String, String, u64) {
     let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
     let graph = match run.profiler.collateral() {
         Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
@@ -155,14 +158,7 @@ fn fingerprint_chaos(
     profiler: Profiler,
     plan: &ea_chaos::FaultPlan,
 ) -> (String, String, u64) {
-    let run = scenario.run_chaos(profiler, plan, 0);
-    let ledger = serde_json::to_string(run.profiler.ledger()).expect("serialize ledger");
-    let graph = match run.profiler.collateral() {
-        Some(graph) => serde_json::to_string(graph).expect("serialize graph"),
-        None => String::new(),
-    };
-    let drained = run.profiler.battery().drained().as_joules().to_bits();
-    (ledger, graph, drained)
+    digest(&scenario.run_chaos(profiler, plan, 0))
 }
 
 #[test]

@@ -4,7 +4,6 @@
 use std::sync::Arc;
 
 use ea_framework::{AndroidSystem, TimedEvent};
-use ea_metrics::{ProfilerMetrics, WindowSpec};
 use ea_power::{Battery, ComponentDraw, DevicePowerModel, DeviceUsage, Energy};
 use ea_sim::SimDuration;
 use ea_telemetry::{span, SinkHandle, TelemetryEvent, TelemetrySink};
@@ -54,10 +53,6 @@ pub struct Profiler {
     telemetry: SinkHandle,
     /// Fault injection + counter sanitization, when chaos is attached.
     chaos: Option<Box<ProfilerChaos>>,
-    /// Sim-time windowed metrics, accrued in-line on the step: a concrete
-    /// type (no sink virtual call), so metrics-on adds next to nothing to
-    /// a step.
-    metrics: Option<Box<ProfilerMetrics>>,
     /// What the last recomputed step derived from the device's usage,
     /// replayed while the usage holds still.
     plan: StepPlan,
@@ -88,7 +83,6 @@ impl Profiler {
             integrated: Energy::ZERO,
             telemetry: SinkHandle::noop(),
             chaos: None,
-            metrics: None,
             plan: StepPlan::default(),
             events_scratch: Vec::new(),
             interval_charges_scratch: Vec::new(),
@@ -173,30 +167,6 @@ impl Profiler {
     /// The fault-injection state, when chaos is attached.
     pub fn chaos(&self) -> Option<&ProfilerChaos> {
         self.chaos.as_deref()
-    }
-
-    /// Enables sim-time windowed metrics: every step accrues its battery
-    /// drain into the window ring described by `spec` (see
-    /// [`ea_metrics::ProfilerMetrics`]). Accounting results are
-    /// untouched; the per-step cost is a branch and a few adds.
-    pub fn with_metrics(mut self, spec: WindowSpec) -> Self {
-        self.metrics = Some(Box::new(ProfilerMetrics::new(spec)));
-        self
-    }
-
-    /// The windowed metrics accrued so far, when enabled. The current
-    /// window is still open; call [`take_metrics`](Profiler::take_metrics)
-    /// to flush and consume it.
-    pub fn metrics(&self) -> Option<&ProfilerMetrics> {
-        self.metrics.as_deref()
-    }
-
-    /// Detaches the windowed metrics, flushing the open window first.
-    pub fn take_metrics(&mut self) -> Option<ProfilerMetrics> {
-        self.metrics.take().map(|mut metrics| {
-            metrics.finish();
-            *metrics
-        })
     }
 
     /// Whether collateral monitoring is enabled (E-Android mode).
@@ -312,14 +282,6 @@ impl Profiler {
         }
         if let Some(monitor) = &mut self.monitor {
             monitor.accrue_consumers(&plan.consumers);
-        }
-        if let Some(metrics) = &mut self.metrics {
-            let drained = self.battery.drained();
-            metrics.on_step(
-                now.as_millis() * 1_000,
-                (drained - drained_before).as_joules(),
-                drained.as_joules(),
-            );
         }
         if traced {
             let mut staged = std::mem::take(&mut self.staged_events);
@@ -607,38 +569,6 @@ mod tests {
             .of(crate::Entity::App(app), Component::Cpu)
             .as_joules();
         assert!((routines.total_of(app).as_joules() - cpu_total).abs() < 1e-9);
-    }
-
-    #[test]
-    fn windowed_metrics_accrue_without_changing_accounting() {
-        let run = |with_metrics: bool| {
-            let mut android = AndroidSystem::new();
-            android.install(manifest("com.a"));
-            android.user_launch("com.a").unwrap();
-            let mut profiler = Profiler::eandroid(ScreenPolicy::SeparateEntity);
-            if with_metrics {
-                profiler = profiler.with_metrics(ea_metrics::WindowSpec::new(1_000_000, 4));
-            }
-            profiler.run(&mut android, SimDuration::from_secs(10));
-            profiler
-        };
-        let bare = run(false);
-        let mut metered = run(true);
-        assert_eq!(
-            bare.battery().drained().as_joules(),
-            metered.battery().drained().as_joules(),
-            "metrics accrual must not perturb accounting"
-        );
-        let drained = metered.battery().drained().as_joules();
-        let metrics = metered.take_metrics().expect("metrics attached");
-        // 10 s at the default 100 ms step = 100 steps, stamped at each
-        // step's *end*: 9 land in window [0,1s), 10 in each of the next
-        // nine, and the final step at exactly t=10s opens an 11th window.
-        assert_eq!(metrics.total_steps(), 100);
-        assert!((metrics.total_drained_joules() - drained).abs() < 1e-9);
-        assert_eq!(metrics.windows().count(), 4);
-        assert_eq!(metrics.window_drain().count(), 11);
-        assert!(metered.metrics().is_none(), "take_metrics detaches");
     }
 
     #[test]

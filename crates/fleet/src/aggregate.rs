@@ -91,11 +91,11 @@ pub struct KindPrevalence {
     pub statically_predicted_apps: usize,
 }
 
-/// Per-device battery-drain distribution. The quantiles are read from
-/// the merged per-shard [`QuantileSketch`] — nearest-rank convention,
-/// within `gamma` *relative* error of an exact sort, and byte-identical
-/// at any `--jobs` because the sketch merge is associative and
-/// commutative. `mean` and `max` are exact.
+/// Per-device battery-drain distribution. The quantiles are read from a
+/// [`QuantileSketch`] over every completed device's drain — nearest-rank
+/// convention, within `gamma` *relative* error of an exact sort, and
+/// byte-identical at any `--jobs` because the sketch's integer bins do
+/// not depend on the order drains arrive in. `mean` and `max` are exact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DrainPercentiles {
     /// Median drain, joules (sketch estimate).
@@ -216,9 +216,8 @@ pub struct FleetReport {
 /// (retried/recovered/abandoned, device-panic counts); the fold adds
 /// every device's fault log and derives the masked counts.
 ///
-/// `drain_sketch` is the merged per-shard drain sketch the engine built
-/// while workers ran; pass `None` to have the fold build an identical
-/// one from the outcomes (the two are interchangeable by construction).
+/// `drain_sketch` is normally `None`, and the fold builds the sketch from
+/// the outcomes; see [`crate::ReportFold::finish`].
 pub fn aggregate(
     config: &FleetConfig,
     outcomes: Vec<Result<DeviceReport, DeviceFailure>>,

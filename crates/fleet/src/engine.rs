@@ -15,9 +15,10 @@
 //! Which worker simulates a device affects nothing: device seeds are a
 //! pure function of `(fleet_seed, index)`, each simulation owns all of
 //! its state, and results are written into a slot vector by device index
-//! before [`crate::aggregate`] folds them in index order. The same
-//! `(seed, size)` therefore yields a byte-identical [`FleetReport`] at
-//! any `--jobs`.
+//! before [`crate::aggregate`] folds them in index order; the drain
+//! quantiles come off a sketch the fold builds from those same drains.
+//! The same `(seed, size)` therefore yields a byte-identical
+//! [`FleetReport`] at any `--jobs`.
 //!
 //! ## Failure handling
 //!
@@ -31,7 +32,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ea_corpus::{generate_corpus, CorpusConfig};
-use ea_metrics::{FleetObservatory, FlightRecorder, QuantileSketch};
+use ea_metrics::{FleetObservatory, FlightRecorder};
 use ea_telemetry::{span, SinkHandle};
 use serde::{Deserialize, Serialize};
 
@@ -120,9 +121,6 @@ pub fn run_fleet_observed(
         Mutex::new((0..size).map(|_| None).collect());
     let busy: Mutex<Vec<f64>> = Mutex::new(vec![0.0; jobs]);
     let supervision: Mutex<Supervision> = Mutex::new(Supervision::default());
-    // Per-worker drain sketches merge here at worker exit; the merge is
-    // commutative, so worker scheduling cannot change the final sketch.
-    let drain_sketch: Mutex<QuantileSketch> = Mutex::new(QuantileSketch::default());
 
     std::thread::scope(|scope| {
         for worker in 0..jobs {
@@ -131,13 +129,11 @@ pub fn run_fleet_observed(
             let slots = &slots;
             let busy = &busy;
             let supervision = &supervision;
-            let drain_sketch = &drain_sketch;
             let sink = sink.clone();
             scope.spawn(move || {
                 let _quiet = QuietPanicsGuard::enter();
                 let mut busy_secs = 0.0;
                 let mut tally = Supervision::default();
-                let mut local_sketch = QuantileSketch::default();
                 let flight = (config.flight_recorder > 0)
                     .then(|| Arc::new(FlightRecorder::new(config.flight_recorder)));
                 loop {
@@ -164,27 +160,17 @@ pub fn run_fleet_observed(
                                 Err(_) => sink.counter_add("fleet_devices_failed_total", 1),
                             }
                         }
-                        match &outcome {
-                            Ok(report) => {
-                                local_sketch.record(report.drained_joules);
-                                if let Some(observatory) = observatory {
-                                    observatory.device_completed(report.drained_joules);
-                                }
-                            }
-                            Err(_) => {
-                                if let Some(observatory) = observatory {
-                                    observatory.device_failed();
-                                }
-                            }
-                        }
                         if let Some(observatory) = observatory {
+                            match &outcome {
+                                Ok(report) => observatory.device_completed(report.drained_joules),
+                                Err(_) => observatory.device_failed(),
+                            }
                             observatory.worker_busy_add(worker, (device_secs * 1e6) as u64);
                         }
                         lock_clean(slots)[index] = Some(outcome);
                     }
                 }
                 lock_clean(busy)[worker] = busy_secs;
-                lock_clean(drain_sketch).merge(&local_sketch);
                 lock_clean(supervision).merge(&tally);
             });
         }
@@ -202,8 +188,7 @@ pub fn run_fleet_observed(
 
     let report = {
         let _merge_span = span(sink.sink(), "fleet_merge");
-        let sketch = into_clean(drain_sketch);
-        aggregate(config, outcomes, health, Some(sketch))
+        aggregate(config, outcomes, health, None)
     };
 
     let wall_secs = started.elapsed().as_secs_f64();

@@ -36,7 +36,6 @@
 //! ```
 
 mod aggregate;
-mod arena;
 mod config;
 mod device;
 mod engine;
@@ -49,7 +48,6 @@ pub use aggregate::{
     aggregate, DeviceFailure, DeviceRow, DrainPercentiles, FleetHealth, FleetReport,
     KindPrevalence, LintCrossCheck, RankedEntity,
 };
-pub use arena::{SlotArena, SlotSpawn};
 pub use config::{device_seed, FleetConfig};
 pub use device::{simulate_device_observed, DeviceCheckpoint, DeviceReport, CHAOS_PANIC_PREFIX};
 pub use engine::{run_fleet, run_fleet_observed, run_fleet_traced, FleetRunStats};

@@ -34,12 +34,12 @@ const TOP_LIMIT: usize = 10;
 /// re-execute any failure from the report alone.
 pub const REPORT_SCHEMA_VERSION: u32 = 5;
 
-/// Builds the drain sketch from a completed-device drain list — the
-/// fallback when the caller has no per-shard sketches to merge (unit
-/// tests, direct `aggregate` callers). Bit-for-bit equal to the engine's
-/// merged per-worker sketches over the same drains, whatever the
-/// sharding: that equivalence is what makes the quantiles
-/// `--jobs`-independent, and the property tests pin it.
+/// Builds the drain sketch from a completed-device drain list, the way
+/// both engines get their quantiles. The sketch keeps integer bin counts
+/// plus a min and a max, so it is bit-for-bit equal to any merge of
+/// partial sketches over the same drains, whatever the sharding: that
+/// equivalence is what makes the quantiles `--jobs`-independent, and the
+/// property tests pin it.
 fn sketch_from_drains(drains: &[f64]) -> QuantileSketch {
     let mut sketch = QuantileSketch::new(crate::aggregate::default_gamma());
     for &drained in drains {
@@ -163,10 +163,11 @@ impl ReportFold {
     /// (retried/recovered/abandoned, device-panic counts); the fold adds
     /// every device's fault log and derives the masked counts.
     ///
-    /// `drain_sketch` is the merged per-shard drain sketch the caller
-    /// built while devices ran; pass `None` to have the fold build an
-    /// identical one from the folded drains (the two are interchangeable
-    /// by construction).
+    /// `drain_sketch` is normally `None`: the fold builds the sketch from
+    /// the drains it kept. A `Some` sketch over the same drains gives the
+    /// same bytes (the two are interchangeable by construction); the
+    /// parameter stays for callers outside the workspace's engines that
+    /// already hold one, such as the benchmark's traced run.
     #[must_use]
     pub fn finish(
         self,

@@ -3,10 +3,11 @@
 //! Rules receive a [`LintContext`] holding every app's [`AppFacts`] plus a
 //! precomputed intent-flow graph: for each implicit action declared
 //! anywhere in the set, which exported components would the resolver offer
-//! as handlers. From that graph the pass derives *attack chains* — paths
-//! `U → T1 → T2` where each hop is an implicit intent another app answers
-//! — which is the static shadow of the paper's chain-attack propagation
-//! (Algorithm 1 merges collateral maps along exactly these edges).
+//! as handlers. The k-hop reachability fixpoint ([`AbsintSolution`]) walks
+//! that graph to find *attack chains* — paths `U → T1 → … → Tk` where each
+//! hop is an implicit intent another app answers — the static shadow of
+//! the paper's chain-attack propagation (Algorithm 1 merges collateral
+//! maps along exactly these edges).
 
 use std::collections::BTreeMap;
 
@@ -25,20 +26,6 @@ pub struct Handler {
     pub component: String,
     /// Activity, service, or receiver.
     pub kind: ComponentKind,
-}
-
-/// A two-hop implicit-intent chain starting at one app.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Chain {
-    /// Action of the first hop.
-    pub first_action: String,
-    /// Handler of the first hop (the app the origin would exploit).
-    pub first: Handler,
-    /// Action of the second hop.
-    pub second_action: String,
-    /// Handler of the second hop (the app the exploited app could in turn
-    /// reach).
-    pub second: Handler,
 }
 
 /// One cross-app evidence list: every app's entries, sorted once by the
@@ -166,49 +153,6 @@ impl LintContext {
     pub fn handlers_of(&self, action: &str) -> &[Handler] {
         self.handlers.get(action).map(Vec::as_slice).unwrap_or(&[])
     }
-
-    /// Implicit-intent chains of length two starting at app `index`:
-    /// `index → T1 → T2` with `T1 ≠ index`, `T2 ∉ {index, T1}`. Returns at
-    /// most `limit` chains, in deterministic action order.
-    pub fn chains_from(&self, index: usize, limit: usize) -> Vec<Chain> {
-        let mut chains = Vec::new();
-        for (first_action, first_handlers) in &self.handlers {
-            for first in first_handlers.iter().filter(|h| h.app != index) {
-                for (second_action, second_handlers) in &self.handlers {
-                    for second in second_handlers
-                        .iter()
-                        .filter(|h| h.app != index && h.app != first.app)
-                    {
-                        chains.push(Chain {
-                            first_action: first_action.clone(),
-                            first: first.clone(),
-                            second_action: second_action.clone(),
-                            second: second.clone(),
-                        });
-                        if chains.len() >= limit {
-                            return chains;
-                        }
-                    }
-                }
-            }
-        }
-        chains
-    }
-
-    /// Renders a chain as evidence text, e.g.
-    /// `com.a -[SEND]-> com.b/Share -[VIEW]-> com.c/Open`.
-    pub fn describe_chain(&self, origin: usize, chain: &Chain) -> String {
-        format!(
-            "{} -[{}]-> {}/{} -[{}]-> {}/{}",
-            self.apps[origin].package,
-            chain.first_action,
-            self.apps[chain.first.app].package,
-            chain.first.component,
-            chain.second_action,
-            self.apps[chain.second.app].package,
-            chain.second.component,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -239,32 +183,21 @@ mod tests {
     }
 
     #[test]
-    fn chains_skip_origin_and_repeat_apps() {
+    fn handler_index_is_in_action_then_app_order() {
         let ctx = ctx();
-        let chains = ctx.chains_from(0, 10);
-        assert!(!chains.is_empty());
-        for chain in &chains {
-            assert_ne!(chain.first.app, 0);
-            assert_ne!(chain.second.app, 0);
-            assert_ne!(chain.second.app, chain.first.app);
-        }
-        // com.b's only reachable next hop is com.c and vice versa.
-        let described = ctx.describe_chain(0, &chains[0]);
+        let index: Vec<(&str, &str, &str)> = ctx
+            .handler_index()
+            .iter()
+            .flat_map(|(action, handlers)| {
+                handlers.iter().map(|handler| {
+                    let package = ctx.apps()[handler.app].package.as_str();
+                    (action.as_str(), package, handler.component.as_str())
+                })
+            })
+            .collect();
         assert_eq!(
-            described,
-            "com.a -[SEND]-> com.b/Share -[VIEW]-> com.c/Open"
+            index,
+            vec![("SEND", "com.b", "Share"), ("VIEW", "com.c", "Open")]
         );
-    }
-
-    #[test]
-    fn no_chain_with_fewer_than_three_apps() {
-        let manifests = [
-            AppManifest::builder("com.a").activity("Main", true).build(),
-            AppManifest::builder("com.b")
-                .activity_with_actions("Share", true, &["SEND"])
-                .build(),
-        ];
-        let ctx = LintContext::new(manifests.iter().map(AppFacts::from_manifest).collect());
-        assert!(ctx.chains_from(0, 10).is_empty());
     }
 }

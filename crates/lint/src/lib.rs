@@ -65,6 +65,6 @@ pub use absint::{AbsintSolution, PricedEnvelope, Pricer};
 pub use baseline::{BaselineDiff, DiffEntry};
 pub use diagnostic::{Diagnostic, RuleId, Severity};
 pub use facts::AppFacts;
-pub use flow::{Chain, Handler, LintContext};
+pub use flow::{Handler, LintContext};
 pub use linter::{LintReport, LintSystem, Linter};
 pub use rules::{default_rules, Rule};

@@ -444,12 +444,12 @@ impl Rule for StealthAutostartRule {
 /// `EA0009`: the k-hop reachability fixpoint found a cross-app
 /// implicit-intent chain of depth ≥ 2 from this app — the static shadow
 /// of the paper's chain attacks, where collateral propagates
-/// `driving → driven → driven`. Unlike the legacy two-hop pair
-/// enumeration ([`LintContext::chains_from`]), the fixpoint respects each
-/// hop's *emission vocabulary* (an app only forwards actions its own
-/// components declare) and follows chains to any depth, so it both
-/// suppresses infeasible two-hop pairs and finds deep chains the old
-/// pass provably missed.
+/// `driving → driven → driven`. Unlike the legacy pass, which paired any
+/// two foreign handlers in [`LintContext::handler_index`], the fixpoint
+/// respects each hop's *emission vocabulary* (an app only forwards
+/// actions its own components declare) and follows chains to any depth,
+/// so it both suppresses infeasible two-hop pairs and finds deep chains
+/// the old pass provably missed.
 pub struct AttackChainRule;
 
 impl Rule for AttackChainRule {
@@ -713,9 +713,11 @@ mod tests {
                 .activity_with_actions("Open", true, &["VIEW"])
                 .build(),
         ]);
-        assert!(
-            !ctx.chains_from(0, 10).is_empty(),
-            "legacy pass would have fired"
+        let (send, view) = (ctx.handlers_of("SEND"), ctx.handlers_of("VIEW"));
+        assert_eq!(
+            (send[0].app, view[0].app),
+            (1, 2),
+            "two foreign handlers in distinct apps: the legacy pass would have fired"
         );
         assert!(check_one(&AttackChainRule, &ctx, 0).is_none());
     }

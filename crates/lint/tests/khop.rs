@@ -8,7 +8,7 @@
 //! infeasible, which is exactly why the old pass could never claim it.
 
 use ea_framework::AppManifest;
-use ea_lint::{AbsintSolution, AppFacts, LintContext, Linter, Pricer, RuleId};
+use ea_lint::{AbsintSolution, AppFacts, Handler, LintContext, Linter, Pricer, RuleId};
 use ea_power::DevicePowerModel;
 
 const WITNESS: &str = "com.hop.a -[hop.ONE]-> com.hop.b/H1 -[hop.TWO]-> com.hop.c/H2 \
@@ -106,21 +106,34 @@ fn two_hop_truncation_provably_misses_the_deep_target() {
             .flat_map(|decl| decl.intent_actions.iter().map(String::as_str))
             .collect()
     };
-    let legacy = ctx.chains_from(0, usize::MAX);
-    let ending_deep: Vec<_> = legacy
+    // The legacy pairs: any foreign first hop, then any handler in a
+    // third app, both read straight off the handler index.
+    let hops: Vec<(&str, &Handler)> = ctx
+        .handler_index()
         .iter()
-        .filter(|chain| apps[chain.second.app].package == "com.hop.e")
+        .flat_map(|(action, handlers)| handlers.iter().map(move |h| (action.as_str(), h)))
         .collect();
-    assert!(!ending_deep.is_empty(), "the blind pass emits bogus pairs");
-    for chain in ending_deep {
-        let first_feasible = vocabulary(0).contains(&chain.first_action.as_str());
-        let second_feasible = vocabulary(chain.first.app).contains(&chain.second_action.as_str());
-        assert!(
-            !(first_feasible && second_feasible),
-            "legacy chain {} is emission-feasible after all",
-            ctx.describe_chain(0, chain)
-        );
+    let mut ending_deep = 0;
+    for &(first_action, first) in hops.iter().filter(|(_, h)| h.app != 0) {
+        let to_deep = hops
+            .iter()
+            .filter(|(_, h)| h.app != first.app && apps[h.app].package == "com.hop.e");
+        for &(second_action, second) in to_deep {
+            ending_deep += 1;
+            let first_feasible = vocabulary(0).contains(&first_action);
+            let second_feasible = vocabulary(first.app).contains(&second_action);
+            assert!(
+                !(first_feasible && second_feasible),
+                "legacy chain -[{first_action}]-> {}/{} -[{second_action}]-> {}/{} \
+                 is emission-feasible after all",
+                apps[first.app].package,
+                first.component,
+                apps[second.app].package,
+                second.component,
+            );
+        }
     }
+    assert!(ending_deep > 0, "the blind pass emits bogus pairs");
 }
 
 #[test]

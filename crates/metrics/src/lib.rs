@@ -1,16 +1,13 @@
 //! # ea-metrics — mergeable streaming aggregation and fleet observability
 //!
 //! The observability layer between `ea-telemetry` (raw event transport)
-//! and `ea-fleet` (population-scale simulation). Four pieces:
+//! and `ea-fleet` (population-scale simulation). Three pieces:
 //!
 //! * [`QuantileSketch`] — a fixed-bin DDSketch-style quantile sketch with
 //!   data-independent bin boundaries and an associative, commutative
-//!   merge. Per-worker sketches fold into fleet-wide percentiles that are
-//!   byte-identical at any `--jobs` and within a configured relative
-//!   error `γ` of the exact sorted percentiles.
-//! * [`ProfilerMetrics`] — sim-time windowed counters/gauges/histograms
-//!   accrued on the profiler hot path: the per-step touch is a compare
-//!   and a few adds; window bookkeeping amortizes onto rollovers.
+//!   merge. Fleet-wide drain percentiles come off one, byte-identical at
+//!   any `--jobs` and within a configured relative error `γ` of the
+//!   exact sorted percentiles.
 //! * [`FlightRecorder`] — a bounded ring of recent telemetry events per
 //!   device, attached to `DeviceFailure` entries so a crashed device
 //!   carries its own last moments alongside the checkpoint salvage.
@@ -37,11 +34,9 @@ mod flight;
 mod observatory;
 mod sketch;
 mod snapshot;
-mod window;
 
 pub use emit::SnapshotEmitter;
 pub use flight::{FlightDump, FlightRecorder};
 pub use observatory::FleetObservatory;
 pub use sketch::QuantileSketch;
 pub use snapshot::{MetricsSnapshot, SNAPSHOT_SCHEMA};
-pub use window::{MetricsWindow, ProfilerMetrics, WindowSpec};

@@ -8,9 +8,9 @@
 //!
 //! Because the boundaries are data-independent and the per-bin counts are
 //! plain `u64`s, merging two sketches is per-key integer addition —
-//! associative and commutative. A fleet run can therefore keep one sketch
-//! per worker shard and fold them in *any* order: the merged bins, and
-//! every quantile read off them, are byte-identical at any `--jobs`.
+//! associative and commutative. Sketches over any split of the same values
+//! therefore merge in *any* order to the same bins, and every quantile
+//! read off them is byte-identical at any `--jobs`.
 
 use std::collections::BTreeMap;
 

@@ -27,8 +27,9 @@
 //!    [`ea_fleet::ReportFold`]-backed [`ea_fleet::aggregate`] the batch
 //!    path uses (floating-point sums are order-sensitive; arrival order
 //!    is not reproducible, index order is);
-//! 2. per-shard drain sketches merge commutatively (integer bins), so
-//!    shard scheduling cannot change the quantiles;
+//! 2. the drain quantiles come from a sketch the fold builds from those
+//!    same index-ordered outcomes, so shard scheduling cannot change
+//!    them;
 //! 3. supervision tallies are plain integer sums.
 //!
 //! Everything else the service maintains — windows, live prevalence,
@@ -54,7 +55,7 @@ use std::time::{Duration, Instant};
 use ea_corpus::{generate_corpus, CorpusConfig};
 use ea_fleet::supervise::{install_quiet_hook, QuietPanicsGuard};
 use ea_fleet::{aggregate, FleetConfig, FleetReport, SuperviseHooks, Supervision};
-use ea_metrics::{FleetObservatory, FlightRecorder, QuantileSketch, SnapshotEmitter};
+use ea_metrics::{FleetObservatory, FlightRecorder, SnapshotEmitter};
 
 use crate::protocol::{Ack, LaneEvent, Request};
 use crate::ring;
@@ -154,12 +155,10 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// What one shard worker accumulates locally, merged into the run-wide
-/// state when its lane drains. Only commutative pieces live here — the
-/// sketch's integer bins merge in any order without changing a byte.
+/// What one shard worker counts locally, added into the run-wide
+/// totals when its lane drains.
 #[derive(Debug, Default)]
 struct ShardAccumulator {
-    drains: QuantileSketch,
     events: u64,
     checkpoints: u64,
 }
@@ -262,7 +261,6 @@ pub fn run_serve(
     let observatory = FleetObservatory::new(size, lanes);
     let view = Mutex::new(FleetView::new(size, config.window_events));
     let supervision = Mutex::new(Supervision::default());
-    let merged_sketch = Mutex::new(QuantileSketch::default());
     let events_ingested = AtomicU64::new(0);
     let checkpoints_ingested = AtomicU64::new(0);
     let queries = AtomicU64::new(0);
@@ -281,7 +279,6 @@ pub fn run_serve(
             let supervision = &supervision;
             let fleet = &config.fleet;
             let view = &view;
-            let merged_sketch = &merged_sketch;
             let events_ingested = &events_ingested;
             let checkpoints_ingested = &checkpoints_ingested;
 
@@ -338,7 +335,6 @@ pub fn run_serve(
                         match &event {
                             LaneEvent::Checkpoint { .. } => local.checkpoints += 1,
                             LaneEvent::Completed(report) => {
-                                local.drains.record(report.drained_joules);
                                 observatory.device_completed(report.drained_joules);
                             }
                             LaneEvent::Crashed(_) => observatory.device_failed(),
@@ -347,7 +343,6 @@ pub fn run_serve(
                         guard.ingest(event);
                     }
                 }
-                lock_clean(merged_sketch).merge(&local.drains);
                 events_ingested.fetch_add(local.events, Ordering::Relaxed);
                 checkpoints_ingested.fetch_add(local.checkpoints, Ordering::Relaxed);
             }));
@@ -412,13 +407,12 @@ pub fn run_serve(
         stream_done.store(true, Ordering::Relaxed);
 
         // The deterministic fold: outcomes in index order through the
-        // shared ReportFold, sketch merged commutatively, supervision
-        // summed — the exact batch-engine recipe. The view keeps its
-        // windows and totals so a held service still answers `window`.
+        // shared ReportFold, supervision summed — the exact batch-engine
+        // recipe. The view keeps its windows and totals so a held service
+        // still answers `window`.
         let outcomes = lock_clean(&view).take_outcomes();
         let health = lock_clean(&supervision).clone().health();
-        let sketch = lock_clean(&merged_sketch).clone();
-        let report = aggregate(&config.fleet, outcomes, health, Some(sketch));
+        let report = aggregate(&config.fleet, outcomes, health, None);
 
         // Publish the report to any (present or future) `report` query.
         {

@@ -12,24 +12,11 @@
 
 use std::collections::BTreeMap;
 
-use ea_fleet::{DeviceFailure, DeviceReport, SlotArena};
+use ea_fleet::{DeviceFailure, DeviceReport};
 use ea_metrics::QuantileSketch;
 use serde::{Deserialize, Serialize};
 
 use crate::protocol::{LaneEvent, WINDOW_SCHEMA};
-
-/// One online device's live row. Rows live in arena slots: a `Leave`
-/// retires the slot and the next `Join` recycles it, so the roster's
-/// footprint is bounded by *peak concurrency*, not fleet size.
-#[derive(Debug, Clone, Default)]
-struct LiveDevice {
-    /// Device index within the fleet.
-    index: usize,
-    /// Session checkpoints seen since this device joined.
-    checkpoints: u64,
-    /// Cumulative battery drain from the latest checkpoint, joules.
-    drained_joules: f64,
-}
 
 /// One ingest window's aggregates, plus stream-lifetime totals — the
 /// reply to a `window` query (schema [`WINDOW_SCHEMA`]).
@@ -145,13 +132,6 @@ pub struct FleetView {
     /// index order, which is what keeps the streaming report
     /// byte-identical to the batch one.
     slots: Vec<Option<Result<DeviceReport, DeviceFailure>>>,
-    /// Slot allocator for the live roster: join = spawn, leave = retire.
-    roster_arena: SlotArena,
-    /// Arena-slot-indexed live rows; retired rows keep their storage for
-    /// the next joiner.
-    roster: Vec<LiveDevice>,
-    /// Device index → roster arena slot, for checkpoint/leave routing.
-    roster_by_index: BTreeMap<usize, usize>,
 }
 
 impl FleetView {
@@ -169,25 +149,7 @@ impl FleetView {
             total_replayable_crashes: 0,
             devices_online: 0,
             slots: (0..size).map(|_| None).collect(),
-            roster_arena: SlotArena::new(),
-            roster: Vec::new(),
-            roster_by_index: BTreeMap::new(),
         }
-    }
-
-    /// Enrolls a joining device in the live roster: an arena index grab,
-    /// recycling a leaver's row when one is free.
-    fn roster_join(&mut self, index: usize) {
-        let slot = self.roster_arena.spawn().index();
-        if slot == self.roster.len() {
-            self.roster.push(LiveDevice::default());
-        }
-        self.roster[slot] = LiveDevice {
-            index,
-            checkpoints: 0,
-            drained_joules: 0.0,
-        };
-        self.roster_by_index.insert(index, slot);
     }
 
     /// Folds one lane event into the view.
@@ -195,22 +157,13 @@ impl FleetView {
         self.total_events += 1;
         self.current.events += 1;
         match event {
-            LaneEvent::Join { index } => {
+            LaneEvent::Join { .. } => {
                 self.current.joined += 1;
                 self.devices_online += 1;
-                self.roster_join(index);
             }
-            LaneEvent::Checkpoint {
-                index,
-                ref snapshot,
-            } => {
+            LaneEvent::Checkpoint { .. } => {
                 self.total_checkpoints += 1;
                 self.current.checkpoints += 1;
-                if let Some(&slot) = self.roster_by_index.get(&index) {
-                    let row = &mut self.roster[slot];
-                    row.checkpoints += 1;
-                    row.drained_joules = snapshot.drained_joules;
-                }
             }
             LaneEvent::Completed(report) => {
                 self.current.completed += 1;
@@ -243,12 +196,9 @@ impl FleetView {
                     *slot = Some(Err(*failure));
                 }
             }
-            LaneEvent::Leave { index } => {
+            LaneEvent::Leave { .. } => {
                 self.current.left += 1;
                 self.devices_online = self.devices_online.saturating_sub(1);
-                if let Some(slot) = self.roster_by_index.remove(&index) {
-                    self.roster_arena.retire(slot);
-                }
             }
         }
         if self.current.events >= self.window_capacity {
@@ -318,27 +268,6 @@ impl FleetView {
     pub fn take_outcomes(&mut self) -> Vec<Result<DeviceReport, DeviceFailure>> {
         self.slots.drain(..).flatten().collect()
     }
-
-    /// The live roster as `(device index, checkpoints, latest cumulative
-    /// drain in joules)` rows, in device-index order.
-    #[must_use]
-    pub fn online_roster(&self) -> Vec<(usize, u64, f64)> {
-        self.roster_by_index
-            .values()
-            .map(|&slot| {
-                let row = &self.roster[slot];
-                (row.index, row.checkpoints, row.drained_joules)
-            })
-            .collect()
-    }
-
-    /// Peak concurrent devices seen so far — the roster arena's
-    /// capacity, which bounds the roster's memory footprint regardless
-    /// of how many devices churn through the stream.
-    #[must_use]
-    pub fn roster_peak(&self) -> usize {
-        self.roster_arena.capacity()
-    }
 }
 
 #[cfg(test)]
@@ -362,33 +291,6 @@ mod tests {
 
     fn leave(index: usize) -> LaneEvent {
         LaneEvent::Leave { index }
-    }
-
-    #[test]
-    fn roster_tracks_online_devices_and_recycles_slots() {
-        let mut view = FleetView::new(8, 1_000);
-        view.ingest(join(3));
-        view.ingest(join(5));
-        view.ingest(checkpoint_at(3, 12.5));
-        view.ingest(checkpoint_at(3, 30.0));
-        view.ingest(checkpoint_at(5, 7.0));
-        assert_eq!(
-            view.online_roster(),
-            vec![(3, 2, 30.0), (5, 1, 7.0)],
-            "cumulative checkpoints and latest drain per online device"
-        );
-        view.ingest(leave(3));
-        assert_eq!(view.online_roster(), vec![(5, 1, 7.0)]);
-        // The leaver's arena slot is recycled by the next joiner: peak
-        // concurrency stays 2 no matter how many devices churn through.
-        for index in [6, 7, 0, 1] {
-            view.ingest(join(index));
-            view.ingest(leave(index));
-        }
-        assert_eq!(view.roster_peak(), 2);
-        // A recycled row starts clean for its new tenant.
-        view.ingest(join(2));
-        assert_eq!(view.online_roster(), vec![(2, 0, 0.0), (5, 1, 7.0)]);
     }
 
     fn completed(index: usize, drained: f64, collateral: f64) -> LaneEvent {
@@ -426,15 +328,8 @@ mod tests {
     #[test]
     fn windows_roll_on_capacity_and_keep_totals() {
         let mut view = FleetView::new(4, 3);
-        view.ingest(LaneEvent::Join { index: 0 });
-        view.ingest(LaneEvent::Checkpoint {
-            index: 0,
-            snapshot: ea_fleet::DeviceCheckpoint {
-                sessions_completed: 1,
-                sim_seconds: 30.0,
-                drained_joules: 10.0,
-            },
-        });
+        view.ingest(join(0));
+        view.ingest(checkpoint_at(0, 10.0));
         assert_eq!(view.window().window_seq, 1);
         assert!(view.last_closed().is_none());
         view.ingest(completed(0, 25.0, 5.0));
@@ -448,7 +343,7 @@ mod tests {
         assert_eq!(closed.completed, 1);
         assert_eq!(closed.prevalence.get("cpu_bomb"), Some(&1));
         assert!(closed.attributed_joules <= closed.drained_joules);
-        view.ingest(LaneEvent::Leave { index: 0 });
+        view.ingest(leave(0));
         assert_eq!(view.window().devices_online, 0);
         assert_eq!(view.window().total_events, 4);
         assert_eq!(view.checkpoints_ingested(), 1);

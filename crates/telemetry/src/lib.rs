@@ -46,7 +46,7 @@ mod summary;
 
 pub use event::{TelemetryEvent, TraceRecord};
 pub use recorder::{
-    HistogramSnapshot, MetricSample, MetricsSnapshot, Recorder, SpanRecord, HISTOGRAM_BOUNDS,
+    HistogramSnapshot, MetricSample, Recorder, RecorderMetrics, SpanRecord, HISTOGRAM_BOUNDS,
 };
 pub use sink::{span, NoopSink, SinkHandle, SpanGuard, SpanId, TelemetrySink};
 pub use summary::TelemetrySummary;

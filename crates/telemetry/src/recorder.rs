@@ -56,7 +56,7 @@ pub struct HistogramSnapshot {
 
 /// Point-in-time copy of every metric the recorder holds.
 #[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
+pub struct RecorderMetrics {
     /// Monotone counters by name.
     pub counters: BTreeMap<String, u64>,
     /// Last-written gauges by name.
@@ -186,7 +186,7 @@ impl Recorder {
     }
 
     /// Snapshot of every counter, gauge, and histogram.
-    pub fn metrics(&self) -> MetricsSnapshot {
+    pub fn metrics(&self) -> RecorderMetrics {
         let counters = self
             .counters
             .lock()
@@ -195,7 +195,7 @@ impl Recorder {
             .map(|(name, value)| (name.clone(), value.load(Ordering::Relaxed)))
             .collect();
         let metrics = self.metrics.lock().expect("metrics poisoned");
-        MetricsSnapshot {
+        RecorderMetrics {
             counters,
             gauges: metrics.gauges.clone(),
             histograms: metrics

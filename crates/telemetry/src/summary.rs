@@ -1,6 +1,6 @@
 //! Human-readable digest of a recorded session.
 
-use crate::{MetricsSnapshot, Recorder, SpanRecord, HISTOGRAM_BOUNDS};
+use crate::{Recorder, RecorderMetrics, SpanRecord, HISTOGRAM_BOUNDS};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -8,7 +8,7 @@ use std::fmt;
 /// quantiles, and per-span aggregate timing.
 #[derive(Debug, Clone)]
 pub struct TelemetrySummary {
-    metrics: MetricsSnapshot,
+    metrics: RecorderMetrics,
     span_count: usize,
     span_totals: BTreeMap<String, (u64, u64)>,
     event_count: usize,

@@ -178,6 +178,24 @@ fn parse_flag<T: std::str::FromStr>(
         .transpose()
 }
 
+/// `flag`'s value parsed as a `T`, `default` when the flag is absent. A
+/// value that does not parse is reported on stderr and gives `None`, so
+/// the caller exits with a failure.
+fn flag_or<T: std::str::FromStr>(
+    command: &str,
+    args: &[&str],
+    flag: &str,
+    default: T,
+) -> Option<T> {
+    match parse_flag(command, args, flag) {
+        Ok(value) => Some(value.unwrap_or(default)),
+        Err(message) => {
+            eprintln!("{message}");
+            None
+        }
+    }
+}
+
 fn has_flag(args: &[&str], flag: &str) -> bool {
     args.contains(&flag)
 }
@@ -211,9 +229,9 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
         }
     };
 
-    let fault_seed: u64 = flag_value(args, "--fault-seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(2_026);
+    let Some(fault_seed) = flag_or("scenario", args, "--fault-seed", 2_026) else {
+        return ExitCode::FAILURE;
+    };
     let faults = match flag_value(args, "--faults") {
         Some(spec) => match FaultPlan::parse(spec, fault_seed) {
             Ok(plan) => Some(plan),
@@ -343,9 +361,9 @@ fn cmd_scenario(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_depletion(args: &[&str]) -> ExitCode {
-    let cap_hours: u64 = flag_value(args, "--cap-hours")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(24);
+    let Some(cap_hours) = flag_or("depletion", args, "--cap-hours", 24) else {
+        return ExitCode::FAILURE;
+    };
     let selected: Vec<DepletionCase> = match args.first() {
         None | Some(&"all") => DepletionCase::ALL.to_vec(),
         Some(&name) if !name.starts_with("--") => {
@@ -370,12 +388,12 @@ fn cmd_depletion(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_corpus(args: &[&str]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(2_017);
-    let size: usize = flag_value(args, "--size")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(1_124);
+    let Some(seed) = flag_or("corpus", args, "--seed", 2_017) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(size) = flag_or("corpus", args, "--size", 1_124) else {
+        return ExitCode::FAILURE;
+    };
     let config = CorpusConfig {
         size,
         ..CorpusConfig::paper()
@@ -395,9 +413,9 @@ fn cmd_corpus(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_micro(args: &[&str]) -> ExitCode {
-    let runs: usize = flag_value(args, "--runs")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(50);
+    let Some(runs) = flag_or("micro", args, "--runs", 50) else {
+        return ExitCode::FAILURE;
+    };
     for result in ea_bench::run_micro_matrix(runs) {
         println!(
             "{:<22} {:<20} median {:>8.2} µs",
@@ -410,12 +428,12 @@ fn cmd_micro(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_workload(args: &[&str]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(7);
-    let sessions: usize = flag_value(args, "--sessions")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(10);
+    let Some(seed) = flag_or("workload", args, "--seed", 7) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(sessions) = flag_or("workload", args, "--sessions", 10) else {
+        return ExitCode::FAILURE;
+    };
     let config = e_android::apps::WorkloadConfig {
         seed,
         sessions,
@@ -581,12 +599,8 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let healthy: usize = match parse_flag("replay", args, "--healthy") {
-        Ok(healthy) => healthy.unwrap_or(0),
-        Err(message) => {
-            eprintln!("{message}");
-            return ExitCode::FAILURE;
-        }
+    let Some(healthy) = flag_or("replay", args, "--healthy", 0) else {
+        return ExitCode::FAILURE;
     };
     let unusable = ExitCode::from(2);
     let text = match std::fs::read_to_string(path) {
@@ -795,12 +809,12 @@ fn cmd_query(args: &[&str]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let retries: u32 = flag_value(args, "--retries")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(40);
-    let delay_ms: u64 = flag_value(args, "--retry-delay-ms")
-        .and_then(|value| value.parse().ok())
-        .unwrap_or(250);
+    let Some(retries) = flag_or("query", args, "--retries", 40) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(delay_ms) = flag_or("query", args, "--retry-delay-ms", 250) else {
+        return ExitCode::FAILURE;
+    };
     match e_android::serve::query_with_retry(
         std::path::Path::new(socket),
         request,
@@ -823,14 +837,18 @@ fn cmd_query(args: &[&str]) -> ExitCode {
 }
 
 fn cmd_chaos(args: &[&str]) -> ExitCode {
-    let mut config = e_android::soak::SoakConfig::default();
-    if let Some(seed) = flag_value(args, "--seed").and_then(|value| value.parse().ok()) {
-        config.seed = seed;
-    }
-    if let Some(size) = flag_value(args, "--fleet-size").and_then(|value| value.parse().ok()) {
-        config.fleet_size = size;
-    }
-    config.quick = has_flag(args, "--quick");
+    let defaults = e_android::soak::SoakConfig::default();
+    let Some(seed) = flag_or("chaos", args, "--seed", defaults.seed) else {
+        return ExitCode::FAILURE;
+    };
+    let Some(fleet_size) = flag_or("chaos", args, "--fleet-size", defaults.fleet_size) else {
+        return ExitCode::FAILURE;
+    };
+    let config = e_android::soak::SoakConfig {
+        seed,
+        fleet_size,
+        quick: has_flag(args, "--quick"),
+    };
 
     let report = e_android::soak::run_soak(&config);
     if has_flag(args, "--json") {
@@ -897,12 +915,12 @@ fn cmd_lint(args: &[&str]) -> ExitCode {
         e_android::apps::Malware::install(&mut android);
         android.lint()
     } else {
-        let seed: u64 = flag_value(args, "--seed")
-            .and_then(|value| value.parse().ok())
-            .unwrap_or(2_017);
-        let size: usize = flag_value(args, "--size")
-            .and_then(|value| value.parse().ok())
-            .unwrap_or(1_124);
+        let Some(seed) = flag_or("lint", args, "--seed", 2_017) else {
+            return ExitCode::FAILURE;
+        };
+        let Some(size) = flag_or("lint", args, "--size", 1_124) else {
+            return ExitCode::FAILURE;
+        };
         let config = CorpusConfig {
             size,
             ..CorpusConfig::paper()

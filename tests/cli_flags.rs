@@ -7,7 +7,7 @@ use std::process::{Command, Output};
 
 #[test]
 fn unparsable_numeric_flags_exit_non_zero_naming_the_flag() {
-    let cases: [(&str, &str); 7] = [
+    let cases: [(&str, &str); 20] = [
         ("fleet", "--size"),
         ("fleet", "--seed"),
         ("fleet", "--jobs"),
@@ -15,17 +15,48 @@ fn unparsable_numeric_flags_exit_non_zero_naming_the_flag() {
         ("fleet", "--flight-recorder"),
         ("serve", "--lanes"),
         ("serve", "--window"),
+        ("scenario", "--fault-seed"),
+        ("depletion", "--cap-hours"),
+        ("corpus", "--seed"),
+        ("corpus", "--size"),
+        ("micro", "--runs"),
+        ("workload", "--seed"),
+        ("workload", "--sessions"),
+        ("query", "--retries"),
+        ("query", "--retry-delay-ms"),
+        ("chaos", "--seed"),
+        ("chaos", "--fleet-size"),
+        ("lint", "--seed"),
+        ("lint", "--size"),
     ];
+    // Never bound: a query that ignores a bad flag fails to connect.
+    let socket = std::env::temp_dir().join(format!("ea-cli-flags-{}.sock", std::process::id()));
+    let socket = socket.to_string_lossy();
     for (command, flag) in cases {
-        // A one-device fleet, so a flag that is wrongly ignored fails fast.
-        let size: &[&str] = if flag == "--size" {
-            &[]
-        } else {
-            &["--size", "1"]
+        // Leading arguments and cheap settings for the command's other
+        // flags, so a flag that is wrongly ignored fails fast.
+        let (leading, cheap): (&[&str], &[(&str, &str)]) = match command {
+            "scenario" => (&["attack6_wakelock"], &[]),
+            "depletion" => (&["Bind_service"], &[]),
+            "micro" => (&[], &[("--runs", "1")]),
+            "workload" => (&[], &[("--sessions", "1")]),
+            "query" => (
+                &["--socket", &socket],
+                &[("--retries", "1"), ("--retry-delay-ms", "1")],
+            ),
+            "chaos" => (&["--quick"], &[("--fleet-size", "1")]),
+            "lint" => (&["corpus"], &[("--size", "1")]),
+            _ => (&[], &[("--size", "1")]),
         };
         let output = Command::new(env!("CARGO_BIN_EXE_eandroid"))
             .arg(command)
-            .args(size)
+            .args(leading)
+            .args(
+                cheap
+                    .iter()
+                    .filter(|(cheap_flag, _)| *cheap_flag != flag)
+                    .flat_map(|&(cheap_flag, value)| [cheap_flag, value]),
+            )
             .args([flag, "abc"])
             .output()
             .unwrap_or_else(|error| panic!("run eandroid {command}: {error}"));

@@ -45,7 +45,7 @@ fn fleet_percentiles_are_within_gamma_of_exact_sort() {
     );
 }
 
-/// The per-shard sketches must merge to the same bytes at any worker
+/// The sketch-backed percentiles must be the same bytes at any worker
 /// count — including a jobs count that does not divide the fleet.
 #[test]
 fn sketch_percentiles_are_jobs_independent() {

@@ -208,31 +208,6 @@ mod tests {
     // These runs simulate many hours; keep the cap modest and compare
     // drain rates instead of full lifetimes where possible.
 
-    fn drained_after_one_hour(case: DepletionCase) -> f64 {
-        let curve = run_depletion(case, 1);
-        100.0 - curve.points.last().map(|p| p.percent).unwrap_or(100.0)
-    }
-
-    #[test]
-    fn brightness_ordering_low_10_full() {
-        let low = drained_after_one_hour(DepletionCase::BrightnessLow);
-        let ten = drained_after_one_hour(DepletionCase::Brightness10);
-        let full = drained_after_one_hour(DepletionCase::BrightnessFull);
-        assert!(
-            low < ten && ten < full,
-            "drain rates must rank low < 10 < full: {low:.2} {ten:.2} {full:.2}"
-        );
-    }
-
-    #[test]
-    fn attacks_outdrain_the_baseline() {
-        let low = drained_after_one_hour(DepletionCase::BrightnessLow);
-        let bind = drained_after_one_hour(DepletionCase::BindService);
-        let interrupt = drained_after_one_hour(DepletionCase::InterruptApp);
-        assert!(bind > low, "bind_service drains faster than baseline");
-        assert!(interrupt > low, "interrupt_app drains faster than baseline");
-    }
-
     #[test]
     fn curve_is_monotone_decreasing() {
         let curve = run_depletion(DepletionCase::BrightnessFull, 1);

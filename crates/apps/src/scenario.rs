@@ -432,35 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn every_attack_charges_the_malware() {
-        for scenario in Scenario::ALL.into_iter().filter(|s| s.is_attack()) {
-            let run = scenario.run(eandroid());
-            let malware = run.malware.expect("attack installs malware");
-            let graph = run.profiler.collateral().unwrap();
-            assert!(
-                graph.collateral_total(malware).as_joules() > 0.0,
-                "{}: E-Android must charge the malware",
-                scenario.name()
-            );
-        }
-    }
-
-    #[test]
-    fn attacks_are_invisible_to_baseline_accounting() {
-        for scenario in [Scenario::Attack3BindService, Scenario::Attack6Wakelock] {
-            let run = scenario.run(Profiler::android(ScreenPolicy::SeparateEntity));
-            let malware = run.malware.unwrap();
-            let ledger = run.profiler.ledger();
-            let malware_share = ledger.percent_of(Entity::App(malware));
-            assert!(
-                malware_share < 10.0,
-                "{}: stock accounting blames the malware for almost nothing ({malware_share:.1}%)",
-                scenario.name()
-            );
-        }
-    }
-
-    #[test]
     fn attack6_burns_more_screen_energy_than_normal6() {
         let attack = Scenario::Attack6Wakelock.run(eandroid());
         let normal = Scenario::Normal6Wakelock.run(eandroid());

@@ -31,11 +31,6 @@ impl Entity {
             _ => None,
         }
     }
-
-    /// Whether this is an app entity.
-    pub fn is_app(self) -> bool {
-        matches!(self, Entity::App(_))
-    }
 }
 
 impl fmt::Display for Entity {

@@ -149,11 +149,6 @@ impl LifecycleTracker {
         LifecycleTracker::default()
     }
 
-    /// Currently open attack periods, in id order.
-    pub fn active_attacks(&self) -> impl Iterator<Item = &AttackInfo> {
-        self.active.values()
-    }
-
     /// Number of open periods.
     pub fn active_count(&self) -> usize {
         self.active.len()

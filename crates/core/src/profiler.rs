@@ -106,12 +106,6 @@ impl Profiler {
         self
     }
 
-    /// Replaces the battery (default: Nexus 4 pack).
-    pub fn with_battery(mut self, battery: Battery) -> Self {
-        self.battery = battery;
-        self
-    }
-
     /// Replaces the integration step.
     pub fn with_step(mut self, step: SimDuration) -> Self {
         assert!(!step.is_zero(), "integration step must be positive");
@@ -177,11 +171,6 @@ impl Profiler {
     /// The attribution policy in use.
     pub fn policy(&self) -> ScreenPolicy {
         self.policy
-    }
-
-    /// The integration step in use.
-    pub fn step_size(&self) -> SimDuration {
-        self.step
     }
 
     /// Advances the handset by one integration step and accounts the

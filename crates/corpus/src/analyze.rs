@@ -123,26 +123,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_corpus_hits_figure2_aggregates() {
-        let stats = analyze(&generate_corpus(&CorpusConfig::paper(), 2_017));
-        assert!(
-            (stats.exported_percent() - 72.0).abs() < 4.0,
-            "exported ≈ 72%, got {:.1}",
-            stats.exported_percent()
-        );
-        assert!(
-            (stats.wake_lock_percent() - 81.0).abs() < 4.0,
-            "WAKE_LOCK ≈ 81%, got {:.1}",
-            stats.wake_lock_percent()
-        );
-        assert!(
-            (stats.write_settings_percent() - 21.0).abs() < 4.0,
-            "WRITE_SETTINGS ≈ 21%, got {:.1}",
-            stats.write_settings_percent()
-        );
-    }
-
-    #[test]
     fn per_category_totals_sum_to_corpus_total() {
         let stats = analyze(&generate_corpus(&CorpusConfig::paper(), 5));
         let sum: usize = stats.per_category.values().map(|c| c.total).sum();

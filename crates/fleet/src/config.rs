@@ -67,6 +67,10 @@ pub struct FleetConfig {
     pub flight_recorder: usize,
 }
 
+/// The longest scripted day [`FleetConfig::validate`] accepts: a week of
+/// simulated seconds.
+const MAX_DEVICE_DAY_SECS: u64 = 7 * 24 * 3_600;
+
 fn default_max_retries() -> u32 {
     2
 }
@@ -126,6 +130,45 @@ impl FleetConfig {
             faults: self.faults.filter(|plan| !plan.is_zero()),
             ..self.clone()
         }
+    }
+
+    /// Refuses a configuration no run can finish or use, naming the bad
+    /// field. The CLI checks it before every fleet run (`fleet`, `serve`,
+    /// `metrics`) and before `replay` re-runs a report's embedded config.
+    ///
+    /// * `sessions × (mean_session_secs + mean_idle_secs)` — one device's
+    ///   scripted day — is at most a week (604,800 s): the profiler
+    ///   integrates the whole day at `step_millis`, so a longer day runs
+    ///   for hours per device instead of failing.
+    /// * `step_millis ≥ 1`: a device clamps a zero step to 1 ms, so the
+    ///   run would not be the configured one.
+    /// * `min_apps ≤ max_apps`: each device draws its corpus app count
+    ///   from `min_apps..=max_apps`, and an empty range is silently
+    ///   collapsed to `min_apps`.
+    /// * `corpus_size ≥ 1`: devices sample their apps from the corpus, and
+    ///   an empty one leaves every device with the demo set only.
+    pub fn validate(&self) -> Result<(), String> {
+        let day = (self.sessions as u64)
+            .saturating_mul(self.mean_session_secs.saturating_add(self.mean_idle_secs));
+        if day > MAX_DEVICE_DAY_SECS {
+            return Err(format!(
+                "sessions × (mean_session_secs + mean_idle_secs) is {day} s, \
+                 over the {MAX_DEVICE_DAY_SECS} s (7-day) limit of a device's day"
+            ));
+        }
+        if self.step_millis == 0 {
+            return Err(String::from("step_millis must be at least 1"));
+        }
+        if self.min_apps > self.max_apps {
+            return Err(format!(
+                "min_apps ({}) exceeds max_apps ({})",
+                self.min_apps, self.max_apps
+            ));
+        }
+        if self.corpus_size == 0 {
+            return Err(String::from("corpus_size must be at least 1"));
+        }
+        Ok(())
     }
 
     /// The worker-thread count this run will actually use.

@@ -311,11 +311,6 @@ impl AndroidSystem {
         self.system_ui
     }
 
-    /// Whether `uid` is a boot-time system app (or the system server).
-    pub fn is_system_app(&self, uid: Uid) -> bool {
-        uid.is_system()
-    }
-
     /// All installed user apps, in UID order.
     pub fn user_apps(&self) -> impl Iterator<Item = &InstalledApp> {
         self.apps.values().filter(|app| !app.is_system())

@@ -2,14 +2,9 @@
 //!
 //! An abstract state maps each [`Resource`] to an *occupancy bound*: the
 //! fraction of an ARENA-style day the resource may be held, joined with
-//! `max`, plus a provenance set of cause strings joined with set union.
-//! Occupancies only ever take values the transfer functions write (a
-//! finite constant set: `0`, a behaviour-profile utilization, or `1`),
-//! and cause sets grow monotonically inside a finite universe (apps ×
-//! fixed cause templates), so the lattice has finite height and the
-//! worklist solver terminates.
-
-use std::collections::BTreeSet;
+//! `max`. Occupancies only ever take values the transfer functions write
+//! (a finite constant set: `0`, a behaviour-profile utilization, or `1`),
+//! so the lattice has finite height and the worklist solver terminates.
 
 /// One abstract device resource an app can occupy.
 ///
@@ -87,17 +82,15 @@ impl Resource {
 }
 
 /// An element of the resource-state lattice: per-resource occupancy
-/// bounds (fraction of a day, join = pointwise `max`) with cause
-/// provenance (join = set union). `Default` is ⊥ — nothing occupied,
-/// nothing to blame.
+/// bounds (fraction of a day, join = pointwise `max`). `Default` is ⊥ —
+/// nothing occupied.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResourceState {
     occ: [f64; Resource::COUNT],
-    causes: [BTreeSet<String>; Resource::COUNT],
 }
 
 impl ResourceState {
-    /// The bottom element: every occupancy 0, every cause set empty.
+    /// The bottom element: every occupancy 0.
     pub fn bottom() -> ResourceState {
         ResourceState::default()
     }
@@ -107,27 +100,13 @@ impl ResourceState {
         self.occ[resource.index()]
     }
 
-    /// Why `resource` may be occupied, in sorted order.
-    pub fn causes(&self, resource: Resource) -> impl Iterator<Item = &str> {
-        self.causes[resource.index()].iter().map(String::as_str)
-    }
-
-    /// Whether no resource is occupied.
-    pub fn is_bottom(&self) -> bool {
-        self.occ.iter().all(|&o| o == 0.0)
-    }
-
-    /// Raises `resource` to at least `occupancy` and records `cause`.
-    /// Monotone by construction: occupancies never decrease, cause sets
-    /// never shrink.
-    pub fn raise(&mut self, resource: Resource, occupancy: f64, cause: impl Into<String>) {
+    /// Raises `resource` to at least `occupancy`. Monotone by
+    /// construction: occupancies never decrease.
+    pub fn raise(&mut self, resource: Resource, occupancy: f64) {
         let slot = resource.index();
         let clamped = occupancy.clamp(0.0, 1.0);
         if clamped > self.occ[slot] {
             self.occ[slot] = clamped;
-        }
-        if clamped > 0.0 {
-            self.causes[slot].insert(cause.into());
         }
     }
 
@@ -140,20 +119,14 @@ impl ResourceState {
                 self.occ[slot] = other.occ[slot];
                 changed = true;
             }
-            for cause in &other.causes[slot] {
-                if self.causes[slot].insert(cause.clone()) {
-                    changed = true;
-                }
-            }
         }
         changed
     }
 
     /// The partial order: `self ⊑ other`.
-    pub fn le(&self, other: &ResourceState) -> bool {
-        (0..Resource::COUNT).all(|slot| {
-            self.occ[slot] <= other.occ[slot] && self.causes[slot].is_subset(&other.causes[slot])
-        })
+    #[cfg(test)]
+    pub(crate) fn le(&self, other: &ResourceState) -> bool {
+        (0..Resource::COUNT).all(|slot| self.occ[slot] <= other.occ[slot])
     }
 }
 
@@ -174,22 +147,20 @@ mod tests {
     #[test]
     fn raise_is_monotone_and_clamped() {
         let mut state = ResourceState::bottom();
-        state.raise(Resource::Radio, 0.5, "service sync");
-        state.raise(Resource::Radio, 0.2, "lesser claim");
+        state.raise(Resource::Radio, 0.5);
+        state.raise(Resource::Radio, 0.2);
         assert_eq!(state.occupancy(Resource::Radio), 0.5, "never decreases");
-        state.raise(Resource::Radio, 7.0, "absurd");
+        state.raise(Resource::Radio, 7.0);
         assert_eq!(state.occupancy(Resource::Radio), 1.0, "clamped to a day");
-        let causes: Vec<&str> = state.causes(Resource::Radio).collect();
-        assert_eq!(causes, vec!["absurd", "lesser claim", "service sync"]);
     }
 
     #[test]
     fn join_is_lub_and_reports_change() {
         let mut a = ResourceState::bottom();
-        a.raise(Resource::ScreenOn, 1.0, "foreground");
+        a.raise(Resource::ScreenOn, 1.0);
         let mut b = ResourceState::bottom();
-        b.raise(Resource::ScreenOn, 0.5, "partial");
-        b.raise(Resource::Gps, 1.0, "nav");
+        b.raise(Resource::ScreenOn, 0.5);
+        b.raise(Resource::Gps, 1.0);
 
         let mut joined = a.clone();
         assert!(joined.join_from(&b));
@@ -204,7 +175,7 @@ mod tests {
     #[test]
     fn bottom_is_identity_of_join() {
         let mut state = ResourceState::bottom();
-        state.raise(Resource::Camera, 1.0, "CAMERA permission");
+        state.raise(Resource::Camera, 1.0);
         let snapshot = state.clone();
         assert!(!state.join_from(&ResourceState::bottom()));
         assert_eq!(state, snapshot);

@@ -154,10 +154,10 @@ mod tests {
     #[test]
     fn pricing_is_monotone_in_the_lattice_order() {
         let mut small = ResourceState::bottom();
-        small.raise(Resource::Radio, 0.5, "sync");
+        small.raise(Resource::Radio, 0.5);
         let mut big = small.clone();
-        big.raise(Resource::Radio, 1.0, "sync");
-        big.raise(Resource::ScreenOn, 1.0, "session");
+        big.raise(Resource::Radio, 1.0);
+        big.raise(Resource::ScreenOn, 1.0);
         assert!(small.le(&big));
         assert!(pricer().price(&small).total_joules() <= pricer().price(&big).total_joules());
     }
@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn cpu_occupancy_includes_the_awake_floor() {
         let mut state = ResourceState::bottom();
-        state.raise(Resource::CpuBackground, 0.1, "bg demand");
+        state.raise(Resource::CpuBackground, 0.1);
         let coeffs = DevicePowerModel::nexus4().coefficients();
         let priced = pricer().price(&state);
         let floor = coeffs.cpu_awake_mw * SECONDS_PER_DAY / 1_000.0;

@@ -6,9 +6,8 @@
 //!    [`transfer::edges`] are iterated with
 //!    `state(n) = generate(n) ⊔ ⨆ kill(e, state(pred))` until nothing
 //!    changes. The lattice is finite-height (occupancies from a finite
-//!    constant set, cause sets inside a finite universe) and every
-//!    transfer is monotone, so termination is structural, not a fuel
-//!    counter.
+//!    constant set) and every transfer is monotone, so termination is
+//!    structural, not a fuel counter.
 //! 2. **k-hop intent reachability** — the cross-app generalization of
 //!    the old two-hop pass. An app's *emission vocabulary* is the set of
 //!    implicit actions its own components declare (an app that declares
@@ -64,13 +63,10 @@ pub struct ReachInfo {
 /// Per-app solved state.
 #[derive(Debug, Clone)]
 struct AppSolution {
-    /// Fixpoint state of each lifecycle phase ([`Phase::index`] order).
-    phases: [ResourceState; Phase::COUNT],
-    /// Join of the phases reachable from the resident entry node.
-    autonomous: ResourceState,
-    /// Priced phase envelopes, same order.
+    /// Priced fixpoint envelope of each lifecycle phase ([`Phase::index`]
+    /// order).
     phase_prices: [PricedEnvelope; Phase::COUNT],
-    /// Priced autonomous envelope.
+    /// Priced join of the phases reachable from the resident entry node.
     autonomous_price: PricedEnvelope,
     has_exported_activity: bool,
     has_exported_service: bool,
@@ -125,14 +121,11 @@ pub struct AbsintSolution {
 impl AbsintSolution {
     /// Solves the lifecycle and reachability fixpoints for `apps`.
     /// `handlers` is the exported implicit-intent index (action →
-    /// handlers) and `max_hops` caps the chain depth (use
-    /// `usize::MAX` for the full fixpoint; the cap exists so tests can
-    /// demonstrate what a two-hop truncation misses).
+    /// handlers).
     pub fn solve(
         apps: &[AppFacts],
         handlers: &BTreeMap<String, Vec<Handler>>,
         pricer: &Pricer,
-        max_hops: usize,
     ) -> AbsintSolution {
         let mut stats = SolverStats::default();
         let solved: Vec<AppSolution> = apps
@@ -141,7 +134,7 @@ impl AbsintSolution {
             .collect();
         let packages: Vec<String> = apps.iter().map(|f| f.package.clone()).collect();
 
-        let (edges, reach) = solve_reach(apps, handlers, max_hops, &mut stats);
+        let (edges, reach) = solve_reach(apps, handlers, &mut stats);
 
         // App indices in package order: the canonical iteration order
         // that makes every cross-app float aggregation install-order
@@ -211,21 +204,6 @@ impl AbsintSolution {
     /// Attack #6 / no-sleep bound: a leaked screen wakelock for a day.
     pub fn wakelock_day(&self) -> PricedEnvelope {
         self.pricer.wakelock_day()
-    }
-
-    /// The fixpoint state of one lifecycle phase.
-    pub fn phase_state(&self, app: usize, phase: Phase) -> &ResourceState {
-        &self.apps[app].phases[phase.index()]
-    }
-
-    /// The join of every phase the app can reach on its own.
-    pub fn autonomous_state(&self, app: usize) -> &ResourceState {
-        &self.apps[app].autonomous
-    }
-
-    /// The priced envelope of one lifecycle phase.
-    pub fn phase_price(&self, app: usize, phase: Phase) -> &PricedEnvelope {
-        &self.apps[app].phase_prices[phase.index()]
     }
 
     /// The priced autonomous envelope (what the app can burn unprompted).
@@ -381,14 +359,30 @@ impl AbsintSolution {
     }
 }
 
-/// Runs the lifecycle worklist for one app to fixpoint.
+/// Prices one app's lifecycle fixpoint.
 fn solve_app(facts: &AppFacts, pricer: &Pricer, stats: &mut SolverStats) -> AppSolution {
+    let (phases, autonomous) = lifecycle_fixpoint(facts, stats);
+    AppSolution {
+        phase_prices: [
+            pricer.price(&phases[0]),
+            pricer.price(&phases[1]),
+            pricer.price(&phases[2]),
+        ],
+        autonomous_price: pricer.price(&autonomous),
+        has_exported_activity: facts.has_exported_activity(),
+        has_exported_service: facts.has_exported_service(),
+    }
+}
+
+/// Runs the lifecycle worklist for one app to fixpoint: the state of
+/// each phase ([`Phase::index`] order) and the join of the phases
+/// reachable from the resident entry node.
+fn lifecycle_fixpoint(
+    facts: &AppFacts,
+    stats: &mut SolverStats,
+) -> ([ResourceState; Phase::COUNT], ResourceState) {
     let edges = transfer::edges(facts);
-    let mut phases: [ResourceState; Phase::COUNT] = [
-        transfer::generate(Phase::Background, facts),
-        transfer::generate(Phase::Foreground, facts),
-        transfer::generate(Phase::Service, facts),
-    ];
+    let mut phases = Phase::ALL.map(|phase| transfer::generate(phase, facts));
     // Phases with no incoming edge from the entry stay at their local
     // generation but are unreachable; mark reachability from the entry.
     let mut reachable = [false; Phase::COUNT];
@@ -406,7 +400,6 @@ fn solve_app(facts: &AppFacts, pricer: &Pricer, stats: &mut SolverStats) -> AppS
                 changed = true;
             }
             let flowed = transfer::kill(from, to, facts, &phases[from.index()]);
-            // Split borrow: clone the flowed state before joining.
             if phases[to.index()].join_from(&flowed) {
                 changed = true;
             }
@@ -418,20 +411,7 @@ fn solve_app(facts: &AppFacts, pricer: &Pricer, stats: &mut SolverStats) -> AppS
             autonomous.join_from(&phases[phase.index()]);
         }
     }
-    let phase_prices = [
-        pricer.price(&phases[0]),
-        pricer.price(&phases[1]),
-        pricer.price(&phases[2]),
-    ];
-    let autonomous_price = pricer.price(&autonomous);
-    AppSolution {
-        phases,
-        autonomous,
-        phase_prices,
-        autonomous_price,
-        has_exported_activity: facts.has_exported_activity(),
-        has_exported_service: facts.has_exported_service(),
-    }
+    (phases, autonomous)
 }
 
 /// The implicit actions an app may plausibly emit: the union of what its
@@ -457,7 +437,6 @@ fn vocabulary(facts: &AppFacts) -> Option<BTreeSet<&str>> {
 fn solve_reach(
     apps: &[AppFacts],
     handlers: &BTreeMap<String, Vec<Handler>>,
-    max_hops: usize,
     stats: &mut SolverStats,
 ) -> (Vec<Edge>, Vec<Vec<Reached>>) {
     if handlers.is_empty() {
@@ -515,7 +494,7 @@ fn solve_reach(
         // (app, row position of the hop that reached it).
         let mut frontier: Vec<(usize, Option<usize>)> = vec![(origin, None)];
         let mut hops = 0;
-        while !frontier.is_empty() && hops < max_hops {
+        while !frontier.is_empty() {
             hops += 1;
             // Package order within the frontier: the first writer to a
             // target is the lexicographically minimal witness.
@@ -554,21 +533,25 @@ mod tests {
         let facts: Vec<AppFacts> = manifests.iter().map(AppFacts::from_manifest).collect();
         let ctx = LintContext::new(facts.clone());
         let pricer = Pricer::new(DevicePowerModel::nexus4().coefficients());
-        let solution = AbsintSolution::solve(ctx.apps(), ctx.handler_index(), &pricer, usize::MAX);
+        let solution = AbsintSolution::solve(ctx.apps(), ctx.handler_index(), &pricer);
         (facts, solution)
     }
 
     #[test]
     fn wakelock_leak_flows_across_lifecycle_edges() {
-        let (_, solution) = solve(&[AppManifest::builder("com.leaky")
-            .activity("Main", true)
-            .permission(Permission::WakeLock)
-            .build()]);
+        let facts = AppFacts::from_manifest(
+            &AppManifest::builder("com.leaky")
+                .activity("Main", true)
+                .permission(Permission::WakeLock)
+                .build(),
+        );
         use super::super::lattice::Resource;
+        let mut stats = SolverStats::default();
+        let (phases, _) = lifecycle_fixpoint(&facts, &mut stats);
         // The background-acquired leak haunts the foreground phase too.
-        let fg = solution.phase_state(0, Phase::Foreground);
+        let fg = &phases[Phase::Foreground.index()];
         assert_eq!(fg.occupancy(Resource::ScreenBright), 1.0);
-        assert!(solution.stats().phase_iterations > 0);
+        assert!(stats.phase_iterations > 0);
     }
 
     #[test]

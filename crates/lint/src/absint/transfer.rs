@@ -54,15 +54,11 @@ impl Phase {
 /// framework gates none of these on permissions, and camera only on
 /// [`Permission::Camera`].
 fn ungated(state: &mut ResourceState, facts: &AppFacts) {
-    state.raise(Resource::Radio, 1.0, "network use is not permission-gated");
-    state.raise(Resource::Gps, 1.0, "GPS holds are not permission-gated");
-    state.raise(
-        Resource::Audio,
-        1.0,
-        "audio playback is not permission-gated",
-    );
+    state.raise(Resource::Radio, 1.0);
+    state.raise(Resource::Gps, 1.0);
+    state.raise(Resource::Audio, 1.0);
     if facts.has_permission(Permission::Camera) {
-        state.raise(Resource::Camera, 1.0, "holds CAMERA");
+        state.raise(Resource::Camera, 1.0);
     }
 }
 
@@ -71,58 +67,36 @@ pub fn generate(phase: Phase, facts: &AppFacts) -> ResourceState {
     let mut state = ResourceState::bottom();
     match phase {
         Phase::Foreground => {
-            state.raise(
-                Resource::ScreenOn,
-                1.0,
-                "foreground session lights the screen",
-            );
-            state.raise(
-                Resource::CpuForeground,
-                1.0,
-                "foreground session may pin a core",
-            );
+            // A foreground session lights the screen and may pin a core.
+            state.raise(Resource::ScreenOn, 1.0);
+            state.raise(Resource::CpuForeground, 1.0);
             ungated(&mut state, facts);
         }
         Phase::Background => {
-            match facts.background_util {
-                Some(util) => state.raise(
-                    Resource::CpuBackground,
-                    util,
-                    format!("declared background demand {util:.2} core(s)"),
-                ),
-                None => state.raise(
-                    Resource::CpuBackground,
-                    1.0,
-                    "background demand unknown: assume a full core",
-                ),
-            }
+            // The declared background demand, or a full core when it is
+            // unknown (corpus mode).
+            state.raise(
+                Resource::CpuBackground,
+                facts.background_util.unwrap_or(1.0),
+            );
             // "A screen wakelock acquired while backgrounded leaks
             // immediately regardless of the release policy" — the EA0006
             // precondition, as an occupancy.
             if facts.has_permission(Permission::WakeLock) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "WAKE_LOCK acquired while invisible leaks regardless of policy",
-                );
+                state.raise(Resource::ScreenBright, 1.0);
             }
+            // WRITE_SETTINGS lets the app escalate brightness (EA0005).
             if facts.has_permission(Permission::WriteSettings) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "WRITE_SETTINGS allows brightness escalation",
-                );
+                state.raise(Resource::ScreenBright, 1.0);
             }
             ungated(&mut state, facts);
         }
         Phase::Service => {
-            state.raise(Resource::CpuService, 1.0, "running service pins a core");
+            // A running service pins a core, and a screen wakelock it
+            // holds outlives the UI.
+            state.raise(Resource::CpuService, 1.0);
             if facts.has_permission(Permission::WakeLock) {
-                state.raise(
-                    Resource::ScreenBright,
-                    1.0,
-                    "service-held screen wakelock outlives the UI",
-                );
+                state.raise(Resource::ScreenBright, 1.0);
             }
             ungated(&mut state, facts);
         }
@@ -135,10 +109,6 @@ pub fn generate(phase: Phase, facts: &AppFacts) -> ResourceState {
 pub fn kill(from: Phase, to: Phase, facts: &AppFacts, state: &ResourceState) -> ResourceState {
     let mut out = ResourceState::bottom();
     for resource in Resource::ALL {
-        let occ = state.occupancy(resource);
-        if occ == 0.0 {
-            continue;
-        }
         let killed = match resource {
             // Leaving the foreground stops the session's screen and core.
             Resource::ScreenOn | Resource::CpuForeground => to != Phase::Foreground,
@@ -157,9 +127,7 @@ pub fn kill(from: Phase, to: Phase, facts: &AppFacts, state: &ResourceState) -> 
             _ => false,
         };
         if !killed {
-            for cause in state.causes(resource) {
-                out.raise(resource, occ, cause);
-            }
+            out.raise(resource, state.occupancy(resource));
         }
     }
     out
@@ -260,7 +228,7 @@ mod tests {
         well_written.wakelock_policy = Some(WakelockPolicy::OnPause);
 
         let mut fg = generate(Phase::Foreground, &well_written);
-        fg.raise(Resource::ScreenBright, 1.0, "lock held during session");
+        fg.raise(Resource::ScreenBright, 1.0);
         let survived = kill(Phase::Foreground, Phase::Background, &well_written, &fg);
         assert_eq!(survived.occupancy(Resource::ScreenBright), 0.0);
 

@@ -186,15 +186,6 @@ impl Diagnostic {
     pub fn predicts(&self, kind: AttackKind) -> bool {
         self.predicted.contains(&kind)
     }
-
-    /// `predicted_joules` as a battery-days figure against a Nexus-4-class
-    /// pack (28 728 J), the unit the paper reports attacks in.
-    pub fn battery_days(&self, battery_joules: f64) -> f64 {
-        if battery_joules <= 0.0 {
-            return 0.0;
-        }
-        self.predicted_joules / battery_joules
-    }
 }
 
 #[cfg(test)]

@@ -123,7 +123,7 @@ impl LintContext {
                 .collect(),
         );
         let pricer = Pricer::new(DevicePowerModel::nexus4().coefficients());
-        let absint = AbsintSolution::solve(&apps, &handlers, &pricer, usize::MAX);
+        let absint = AbsintSolution::solve(&apps, &handlers, &pricer);
         LintContext {
             apps,
             handlers,

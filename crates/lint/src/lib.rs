@@ -11,7 +11,7 @@
 //!   install-time behaviour (wakelock release policy, background demand).
 //! * **Intent-flow pass** ([`LintContext`]) matches implicit intents to
 //!   exported handlers across apps and derives chain reachability.
-//! * **Rules** ([`Rule`], [`default_rules`]) — one per paper attack
+//! * **Rules** ([`RuleId::check`]) — one per paper attack
 //!   #1–#6 (`EA0001`–`EA0006`) plus no-sleep-bug, stealth-autostart, and
 //!   attack-chain rules — emit typed [`Diagnostic`]s with stable IDs,
 //!   severity, evidence, and the predicted [`ea_core::AttackKind`]s.
@@ -67,4 +67,3 @@ pub use diagnostic::{Diagnostic, RuleId, Severity};
 pub use facts::AppFacts;
 pub use flow::{Handler, LintContext};
 pub use linter::{LintReport, LintSystem, Linter};
-pub use rules::{default_rules, Rule};

@@ -1,5 +1,5 @@
-//! The linter driver: runs the registry over an app set and collects a
-//! report.
+//! The linter driver: runs every [`RuleId`] over an app set and collects
+//! a report.
 //!
 //! Three entry points, one engine:
 //!
@@ -17,7 +17,6 @@ use ea_telemetry::{span, SinkHandle};
 use crate::diagnostic::{Diagnostic, RuleId};
 use crate::facts::AppFacts;
 use crate::flow::LintContext;
-use crate::rules::{default_rules, Rule};
 
 /// The outcome of one lint pass.
 #[derive(Debug, Clone, Default)]
@@ -83,9 +82,8 @@ impl LintReport {
     }
 }
 
-/// Runs a rule registry over app facts.
+/// Runs every rule over app facts.
 pub struct Linter {
-    rules: Vec<Box<dyn Rule>>,
     telemetry: SinkHandle,
 }
 
@@ -96,18 +94,9 @@ impl Default for Linter {
 }
 
 impl Linter {
-    /// A linter with the built-in registry and no telemetry.
+    /// A linter with no telemetry.
     pub fn new() -> Linter {
         Linter {
-            rules: default_rules(),
-            telemetry: SinkHandle::noop(),
-        }
-    }
-
-    /// A linter with a custom rule registry.
-    pub fn with_rules(rules: Vec<Box<dyn Rule>>) -> Linter {
-        Linter {
-            rules,
             telemetry: SinkHandle::noop(),
         }
     }
@@ -118,20 +107,12 @@ impl Linter {
         self
     }
 
-    /// `(id, description)` of every registered rule, in registry order.
-    pub fn rule_listing(&self) -> Vec<(RuleId, &'static str)> {
-        self.rules
-            .iter()
-            .map(|rule| (rule.id(), rule.description()))
-            .collect()
-    }
-
     /// Runs every rule over a prebuilt context.
     pub fn run(&self, ctx: &LintContext) -> LintReport {
         let _pass = span(self.telemetry.sink(), "lint_pass");
         let mut diagnostics = Vec::new();
         for (index, facts) in ctx.apps().iter().enumerate() {
-            for rule in &self.rules {
+            for rule in RuleId::ALL {
                 if let Some(diag) = rule.check(index, facts, ctx) {
                     diagnostics.push(diag);
                 }
@@ -189,7 +170,7 @@ impl Linter {
 }
 
 /// Extension trait giving [`AndroidSystem`] a one-call static analysis
-/// pass: `android.lint()` runs the built-in registry over the installed
+/// pass: `android.lint()` runs every rule over the installed
 /// user apps, reporting through the system's telemetry sink.
 pub trait LintSystem {
     /// Statically analyzes the installed user apps.
@@ -283,11 +264,5 @@ mod tests {
             metrics.counters.get("lint_diagnostics_total"),
             Some(&(report.len() as u64))
         );
-    }
-
-    #[test]
-    fn rule_listing_covers_registry() {
-        let listing = Linter::new().rule_listing();
-        assert_eq!(listing.len(), RuleId::ALL.len());
     }
 }

@@ -1,4 +1,4 @@
-//! The rule trait, the built-in registry, and one rule per attack.
+//! One rule per attack, dispatched from [`RuleId`] — the registry.
 //!
 //! Each rule inspects one app's [`AppFacts`] against the shared
 //! [`LintContext`] and emits at most one [`Diagnostic`]. Rules are
@@ -10,12 +10,12 @@
 //!
 //! Two rules are broader than intuition suggests, on purpose:
 //!
-//! * [`BackgroundSprayRule`] (`EA0002`) fires whenever *any* other user
+//! * [`RuleId::BackgroundSpray`] (`EA0002`) fires whenever *any* other user
 //!   app is installed, because `AndroidSystem::move_task_to_front` and
 //!   `app_open_home` have **no** permission or exported-component
 //!   precondition — any app can displace any task, which is exactly the
 //!   paper's point about attack #2.
-//! * [`WakelockHoldRule`] (`EA0006`) fires on the `WAKE_LOCK` permission
+//! * [`RuleId::WakelockHold`] (`EA0006`) fires on the `WAKE_LOCK` permission
 //!   alone, because a screen wakelock acquired while backgrounded leaks
 //!   immediately regardless of the release policy.
 
@@ -30,31 +30,36 @@ use crate::flow::{EvidenceIndex, LintContext};
 /// Cap on listed evidence items; the remainder collapses to `+N more`.
 const EVIDENCE_LIMIT: usize = 3;
 
-/// A single static check, run once per app.
-pub trait Rule {
-    /// Stable identifier of this rule.
-    fn id(&self) -> RuleId;
-
+impl RuleId {
     /// One-line description for `--help`-style listings and docs.
-    fn description(&self) -> &'static str;
+    pub fn description(self) -> &'static str {
+        match self {
+            RuleId::ComponentHijack => "another app exports an activity this app could repeatedly start (attack #1)",
+            RuleId::BackgroundSpray => "co-installed apps can be displaced into the draining background (attack #2)",
+            RuleId::ServiceTether => "another app exports a service this app could bind and never unbind (attack #3)",
+            RuleId::OverlayInterrupt => "declares a transparent overlay activity usable for interrupt-and-tap-jack (attack #4)",
+            RuleId::SettingsTamper => "may rewrite screen brightness settings (attack #5)",
+            RuleId::WakelockHold => "may hold wakelocks while invisible (attack #6)",
+            RuleId::NoSleepBug => "wakelock released only in onStop/onDestroy (no-sleep bug)",
+            RuleId::StealthAutostart => "exported receiver wakes the app on screen unlock (stealth autostart)",
+            RuleId::AttackChain => "implicit-intent chain of depth >= 2 reachable from here (chain attack)",
+        }
+    }
 
-    /// Checks app `index` of `ctx`; `facts == &ctx.apps()[index]`.
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic>;
-}
-
-/// The default registry: every built-in rule, in code order.
-pub fn default_rules() -> Vec<Box<dyn Rule>> {
-    vec![
-        Box::new(ComponentHijackRule),
-        Box::new(BackgroundSprayRule),
-        Box::new(ServiceTetherRule),
-        Box::new(OverlayInterruptRule),
-        Box::new(SettingsTamperRule),
-        Box::new(WakelockHoldRule),
-        Box::new(NoSleepBugRule),
-        Box::new(StealthAutostartRule),
-        Box::new(AttackChainRule),
-    ]
+    /// Runs this rule on app `index` of `ctx`; `facts == &ctx.apps()[index]`.
+    pub fn check(self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+        match self {
+            RuleId::ComponentHijack => component_hijack(index, facts, ctx),
+            RuleId::BackgroundSpray => background_spray(index, facts, ctx),
+            RuleId::ServiceTether => service_tether(index, facts, ctx),
+            RuleId::OverlayInterrupt => overlay_interrupt(index, facts, ctx),
+            RuleId::SettingsTamper => settings_tamper(index, facts, ctx),
+            RuleId::WakelockHold => wakelock_hold(index, facts, ctx),
+            RuleId::NoSleepBug => no_sleep_bug(index, facts, ctx),
+            RuleId::StealthAutostart => stealth_autostart(index, facts, ctx),
+            RuleId::AttackChain => attack_chain(index, facts, ctx),
+        }
+    }
 }
 
 fn diagnostic(
@@ -112,36 +117,24 @@ fn clip_foreign(list: &EvidenceIndex, index: usize) -> Vec<String> {
 /// `EA0001`: paper attack #1 — start an exported activity of another app
 /// over and over ("applications can be readily exploited through their
 /// app components").
-pub struct ComponentHijackRule;
-
-impl Rule for ComponentHijackRule {
-    fn id(&self) -> RuleId {
-        RuleId::ComponentHijack
+fn component_hijack(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let victims = &ctx.exported_activities;
+    let count = victims.foreign_count(index);
+    if count == 0 {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "another app exports an activity this app could repeatedly start (attack #1)"
-    }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let victims = &ctx.exported_activities;
-        let count = victims.foreign_count(index);
-        if count == 0 {
-            return None;
-        }
-        // Bound: the hottest victim held foreground all day, the rest
-        // parked draining in the background.
-        let envelope = ctx.absint().hijack_envelope(index).unwrap_or_default();
-        Some(diagnostic(
-            self.id(),
-            Severity::Info,
-            facts,
-            vec![AttackKind::ActivityStart],
-            format!("{count} exported activities of other apps are startable from here"),
-            clip_foreign(victims, index),
-            envelope,
-        ))
-    }
+    // Bound: the hottest victim held foreground all day, the rest
+    // parked draining in the background.
+    let envelope = ctx.absint().hijack_envelope(index).unwrap_or_default();
+    Some(diagnostic(
+        RuleId::ComponentHijack,
+        Severity::Info,
+        facts,
+        vec![AttackKind::ActivityStart],
+        format!("{count} exported activities of other apps are startable from here"),
+        clip_foreign(victims, index),
+        envelope,
+    ))
 }
 
 /// `EA0002`: paper attack #2 — "a background app definitely drains
@@ -149,296 +142,212 @@ impl Rule for ComponentHijackRule {
 /// no static precondition at all, so this fires whenever any other user
 /// app is installed; that breadth is what makes the rule set sound for
 /// [`AttackKind::ActivityStart`] and [`AttackKind::Interruption`].
-pub struct BackgroundSprayRule;
-
-impl Rule for BackgroundSprayRule {
-    fn id(&self) -> RuleId {
-        RuleId::BackgroundSpray
+fn background_spray(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let neighbors = ctx.apps().len() - 1;
+    if neighbors == 0 {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "co-installed apps can be displaced into the draining background (attack #2)"
-    }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let neighbors = ctx.apps().len() - 1;
-        if neighbors == 0 {
-            return None;
-        }
-        let draining = &ctx.draining;
-        let severity = if draining.foreign_count(index) == 0 {
-            Severity::Info
-        } else {
-            Severity::Warning
-        };
-        Some(diagnostic(
-            self.id(),
-            severity,
-            facts,
-            vec![AttackKind::ActivityStart, AttackKind::Interruption],
-            format!(
-                "{neighbors} co-installed app(s) can be pushed to the background \
-                 (task reordering needs no permission)"
-            ),
-            clip_foreign(draining, index),
-            // Bound: every co-installed app displaced into its background
-            // envelope at once.
-            ctx.absint().spray_envelope(index),
-        ))
-    }
+    let draining = &ctx.draining;
+    let severity = if draining.foreign_count(index) == 0 {
+        Severity::Info
+    } else {
+        Severity::Warning
+    };
+    Some(diagnostic(
+        RuleId::BackgroundSpray,
+        severity,
+        facts,
+        vec![AttackKind::ActivityStart, AttackKind::Interruption],
+        format!(
+            "{neighbors} co-installed app(s) can be pushed to the background \
+             (task reordering needs no permission)"
+        ),
+        clip_foreign(draining, index),
+        // Bound: every co-installed app displaced into its background
+        // envelope at once.
+        ctx.absint().spray_envelope(index),
+    ))
 }
 
 /// `EA0003`: paper attack #3 — bind an exported service and never unbind,
 /// pinning the victim's workload alive.
-pub struct ServiceTetherRule;
-
-impl Rule for ServiceTetherRule {
-    fn id(&self) -> RuleId {
-        RuleId::ServiceTether
+fn service_tether(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let victims = &ctx.exported_services;
+    let count = victims.foreign_count(index);
+    if count == 0 {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "another app exports a service this app could bind and never unbind (attack #3)"
-    }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let victims = &ctx.exported_services;
-        let count = victims.foreign_count(index);
-        if count == 0 {
-            return None;
-        }
-        Some(diagnostic(
-            self.id(),
-            Severity::Warning,
-            facts,
-            vec![AttackKind::ServiceBind, AttackKind::ServiceStart],
-            format!("{count} exported services of other apps are bindable from here"),
-            clip_foreign(victims, index),
-            // Bound: every foreign exported service bound concurrently.
-            ctx.absint().tether_envelope(index),
-        ))
-    }
+    Some(diagnostic(
+        RuleId::ServiceTether,
+        Severity::Warning,
+        facts,
+        vec![AttackKind::ServiceBind, AttackKind::ServiceStart],
+        format!("{count} exported services of other apps are bindable from here"),
+        clip_foreign(victims, index),
+        // Bound: every foreign exported service bound concurrently.
+        ctx.absint().tether_envelope(index),
+    ))
 }
 
 /// `EA0004`: paper attack #4 — a transparent activity that interrupts the
 /// foreground app and forwards taps to itself (tap-jacking).
-pub struct OverlayInterruptRule;
-
-impl Rule for OverlayInterruptRule {
-    fn id(&self) -> RuleId {
-        RuleId::OverlayInterrupt
+fn overlay_interrupt(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let overlays: Vec<String> = facts
+        .transparent_activities()
+        .map(|decl| decl.name.clone())
+        .collect();
+    if overlays.is_empty() {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "declares a transparent overlay activity usable for interrupt-and-tap-jack (attack #4)"
+    let anchor = facts
+        .transparent_activities()
+        .next()
+        .map(|decl| decl.name.clone());
+    let severity = if facts.has_permission(Permission::SystemAlertWindow) {
+        Severity::Critical
+    } else {
+        Severity::Warning
+    };
+    let mut evidence = clip(overlays);
+    if severity == Severity::Critical {
+        evidence.push(String::from("also holds SYSTEM_ALERT_WINDOW"));
     }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let overlays: Vec<String> = facts
-            .transparent_activities()
-            .map(|decl| decl.name.clone())
-            .collect();
-        if overlays.is_empty() {
-            return None;
-        }
-        let anchor = facts
-            .transparent_activities()
-            .next()
-            .map(|decl| decl.name.clone());
-        let severity = if facts.has_permission(Permission::SystemAlertWindow) {
-            Severity::Critical
-        } else {
-            Severity::Warning
-        };
-        let mut evidence = clip(overlays);
-        if severity == Severity::Critical {
-            evidence.push(String::from("also holds SYSTEM_ALERT_WINDOW"));
-        }
-        let mut diag = diagnostic(
-            self.id(),
-            severity,
-            facts,
-            vec![AttackKind::Interruption],
-            String::from("transparent activity can overlay and interrupt the foreground app"),
-            evidence,
-            // Bound: the hottest foreign app interrupted mid-session.
-            ctx.absint().interrupt_envelope(index),
-        );
-        diag.component = anchor;
-        Some(diag)
-    }
+    let mut diag = diagnostic(
+        RuleId::OverlayInterrupt,
+        severity,
+        facts,
+        vec![AttackKind::Interruption],
+        String::from("transparent activity can overlay and interrupt the foreground app"),
+        evidence,
+        // Bound: the hottest foreign app interrupted mid-session.
+        ctx.absint().interrupt_envelope(index),
+    );
+    diag.component = anchor;
+    Some(diag)
 }
 
 /// `EA0005`: paper attack #5 — rewrite brightness / brightness mode
 /// through the settings provider.
-pub struct SettingsTamperRule;
-
-impl Rule for SettingsTamperRule {
-    fn id(&self) -> RuleId {
-        RuleId::SettingsTamper
+fn settings_tamper(_index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    if !facts.has_permission(Permission::WriteSettings) {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "may rewrite screen brightness settings (attack #5)"
+    // The paper's attack pairs the settings write with a self-closing
+    // transparent settings page so the user never sees it.
+    let stealthy = facts.transparent_activities().next().is_some();
+    let severity = if stealthy {
+        Severity::Critical
+    } else {
+        Severity::Warning
+    };
+    let mut evidence = vec![String::from("holds WRITE_SETTINGS")];
+    if stealthy {
+        evidence.push(String::from(
+            "transparent activity available to hide the settings change",
+        ));
     }
-
-    fn check(&self, _index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        if !facts.has_permission(Permission::WriteSettings) {
-            return None;
-        }
-        // The paper's attack pairs the settings write with a self-closing
-        // transparent settings page so the user never sees it.
-        let stealthy = facts.transparent_activities().next().is_some();
-        let severity = if stealthy {
-            Severity::Critical
-        } else {
-            Severity::Warning
-        };
-        let mut evidence = vec![String::from("holds WRITE_SETTINGS")];
-        if stealthy {
-            evidence.push(String::from(
-                "transparent activity available to hide the settings change",
-            ));
-        }
-        Some(diagnostic(
-            self.id(),
-            severity,
-            facts,
-            vec![AttackKind::ScreenConfig],
-            String::from("can escalate screen brightness behind the user's back"),
-            evidence,
-            // Bound: the panel forced to its ceiling for a whole day.
-            ctx.absint().screen_day(),
-        ))
-    }
+    Some(diagnostic(
+        RuleId::SettingsTamper,
+        severity,
+        facts,
+        vec![AttackKind::ScreenConfig],
+        String::from("can escalate screen brightness behind the user's back"),
+        evidence,
+        // Bound: the panel forced to its ceiling for a whole day.
+        ctx.absint().screen_day(),
+    ))
 }
 
 /// `EA0006`: paper attack #6 — hold a screen wakelock while invisible.
 /// Fires on the `WAKE_LOCK` permission alone: a screen lock acquired
 /// while backgrounded leaks regardless of release policy, so the
 /// permission is the sound precondition for [`AttackKind::WakelockLeak`].
-pub struct WakelockHoldRule;
-
-impl Rule for WakelockHoldRule {
-    fn id(&self) -> RuleId {
-        RuleId::WakelockHold
+fn wakelock_hold(_index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    if !facts.has_permission(Permission::WakeLock) {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "may hold wakelocks while invisible (attack #6)"
-    }
-
-    fn check(&self, _index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        if !facts.has_permission(Permission::WakeLock) {
-            return None;
-        }
-        let (severity, policy_note) = match facts.wakelock_policy {
-            Some(WakelockPolicy::Never) => (
-                Severity::Critical,
-                "never releases wakelocks (malicious per the no-sleep taxonomy)",
-            ),
-            Some(WakelockPolicy::OnStop) | Some(WakelockPolicy::OnDestroy) => (
-                Severity::Warning,
-                "releases wakelocks later than onPause (buggy per the no-sleep taxonomy)",
-            ),
-            Some(WakelockPolicy::OnPause) => (
-                Severity::Info,
-                "releases wakelocks in onPause (well-written)",
-            ),
-            _ => (
-                Severity::Info,
-                "release policy unknown (manifest-only lint)",
-            ),
-        };
-        Some(diagnostic(
-            self.id(),
-            severity,
-            facts,
-            vec![AttackKind::WakelockLeak],
-            String::from("WAKE_LOCK permission allows keeping the screen on while invisible"),
-            vec![String::from(policy_note)],
-            // Bound: a leaked screen wakelock burning for a whole day.
-            ctx.absint().wakelock_day(),
-        ))
-    }
+    let (severity, policy_note) = match facts.wakelock_policy {
+        Some(WakelockPolicy::Never) => (
+            Severity::Critical,
+            "never releases wakelocks (malicious per the no-sleep taxonomy)",
+        ),
+        Some(WakelockPolicy::OnStop) | Some(WakelockPolicy::OnDestroy) => (
+            Severity::Warning,
+            "releases wakelocks later than onPause (buggy per the no-sleep taxonomy)",
+        ),
+        Some(WakelockPolicy::OnPause) => (
+            Severity::Info,
+            "releases wakelocks in onPause (well-written)",
+        ),
+        _ => (
+            Severity::Info,
+            "release policy unknown (manifest-only lint)",
+        ),
+    };
+    Some(diagnostic(
+        RuleId::WakelockHold,
+        severity,
+        facts,
+        vec![AttackKind::WakelockLeak],
+        String::from("WAKE_LOCK permission allows keeping the screen on while invisible"),
+        vec![String::from(policy_note)],
+        // Bound: a leaked screen wakelock burning for a whole day.
+        ctx.absint().wakelock_day(),
+    ))
 }
 
 /// `EA0007`: the no-sleep-bug taxonomy's buggy classes — wakelocks
 /// released only in `onStop`/`onDestroy` keep burning after the user
 /// navigates away even with no attacker present.
-pub struct NoSleepBugRule;
-
-impl Rule for NoSleepBugRule {
-    fn id(&self) -> RuleId {
-        RuleId::NoSleepBug
+fn no_sleep_bug(_index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    if !facts.has_permission(Permission::WakeLock) {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "wakelock released only in onStop/onDestroy (no-sleep bug)"
-    }
-
-    fn check(&self, _index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        if !facts.has_permission(Permission::WakeLock) {
-            return None;
-        }
-        let policy = facts.wakelock_policy?;
-        let hook = match policy {
-            WakelockPolicy::OnStop => "onStop",
-            WakelockPolicy::OnDestroy => "onDestroy",
-            _ => return None,
-        };
-        Some(diagnostic(
-            self.id(),
-            Severity::Warning,
-            facts,
-            vec![AttackKind::WakelockLeak],
-            format!("wakelocks released only in {hook}; paused screens stay lit"),
-            vec![format!("release policy: {hook}")],
-            // Same physical bound as EA0006: the leak burns a day.
-            ctx.absint().wakelock_day(),
-        ))
-    }
+    let policy = facts.wakelock_policy?;
+    let hook = match policy {
+        WakelockPolicy::OnStop => "onStop",
+        WakelockPolicy::OnDestroy => "onDestroy",
+        _ => return None,
+    };
+    Some(diagnostic(
+        RuleId::NoSleepBug,
+        Severity::Warning,
+        facts,
+        vec![AttackKind::WakelockLeak],
+        format!("wakelocks released only in {hook}; paused screens stay lit"),
+        vec![format!("release policy: {hook}")],
+        // Same physical bound as EA0006: the leak burns a day.
+        ctx.absint().wakelock_day(),
+    ))
 }
 
 /// `EA0008`: an exported receiver for `ACTION_USER_PRESENT` — the
 /// paper malware's stealth trigger ("launches itself when the user
 /// unlocks the screen"). A surface finding: it predicts no attack kind
 /// by itself, it marks the app that can *start* attacking unprompted.
-pub struct StealthAutostartRule;
-
-impl Rule for StealthAutostartRule {
-    fn id(&self) -> RuleId {
-        RuleId::StealthAutostart
+fn stealth_autostart(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let receivers: Vec<String> = facts
+        .receivers_for(AndroidSystem::ACTION_USER_PRESENT)
+        .into_iter()
+        .map(|decl| decl.name.clone())
+        .collect();
+    if receivers.is_empty() {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "exported receiver wakes the app on screen unlock (stealth autostart)"
-    }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let receivers: Vec<String> = facts
-            .receivers_for(AndroidSystem::ACTION_USER_PRESENT)
-            .into_iter()
-            .map(|decl| decl.name.clone())
-            .collect();
-        if receivers.is_empty() {
-            return None;
-        }
-        let anchor = receivers.first().cloned();
-        let mut diag = diagnostic(
-            self.id(),
-            Severity::Warning,
-            facts,
-            Vec::new(),
-            String::from("runs unprompted on every screen unlock"),
-            clip(receivers),
-            // Bound: the app's own autonomous envelope — everything the
-            // fixpoint says it can burn once woken, unprompted.
-            ctx.absint().autonomous_price(index).clone(),
-        );
-        diag.component = anchor;
-        Some(diag)
-    }
+    let anchor = receivers.first().cloned();
+    let mut diag = diagnostic(
+        RuleId::StealthAutostart,
+        Severity::Warning,
+        facts,
+        Vec::new(),
+        String::from("runs unprompted on every screen unlock"),
+        clip(receivers),
+        // Bound: the app's own autonomous envelope — everything the
+        // fixpoint says it can burn once woken, unprompted.
+        ctx.absint().autonomous_price(index).clone(),
+    );
+    diag.component = anchor;
+    Some(diag)
 }
 
 /// `EA0009`: the k-hop reachability fixpoint found a cross-app
@@ -450,59 +359,45 @@ impl Rule for StealthAutostartRule {
 /// actions its own components declare) and follows chains to any depth,
 /// so it both suppresses infeasible two-hop pairs and finds deep chains
 /// the old pass provably missed.
-pub struct AttackChainRule;
-
-impl Rule for AttackChainRule {
-    fn id(&self) -> RuleId {
-        RuleId::AttackChain
+fn attack_chain(index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
+    let reach = ctx.absint().reachable_from(index);
+    let depth = reach.iter().map(|info| info.hops).max().unwrap_or(0);
+    if depth < 2 {
+        return None;
     }
-
-    fn description(&self) -> &'static str {
-        "implicit-intent chain of depth >= 2 reachable from here (chain attack)"
-    }
-
-    fn check(&self, index: usize, facts: &AppFacts, ctx: &LintContext) -> Option<Diagnostic> {
-        let reach = ctx.absint().reachable_from(index);
-        let depth = reach.iter().map(|info| info.hops).max().unwrap_or(0);
-        if depth < 2 {
-            return None;
-        }
-        // Predict by what the chain's hops ultimately drive.
-        let mut predicted = Vec::new();
-        for info in &reach {
-            let kind = match info.kind {
-                ComponentKind::Activity => Some(AttackKind::ActivityStart),
-                ComponentKind::Service => Some(AttackKind::ServiceStart),
-                ComponentKind::Receiver => None,
-            };
-            if let Some(kind) = kind {
-                if !predicted.contains(&kind) {
-                    predicted.push(kind);
-                }
+    // Predict by what the chain's hops ultimately drive.
+    let mut predicted = Vec::new();
+    for info in &reach {
+        let kind = match info.kind {
+            ComponentKind::Activity => Some(AttackKind::ActivityStart),
+            ComponentKind::Service => Some(AttackKind::ServiceStart),
+            ComponentKind::Receiver => None,
+        };
+        if let Some(kind) = kind {
+            if !predicted.contains(&kind) {
+                predicted.push(kind);
             }
         }
-        // Witness the deepest targets: their paths subsume shallower hops.
-        let mut deepest: Vec<&crate::absint::ReachInfo> = reach.iter().collect();
-        deepest.sort_by_key(|info| std::cmp::Reverse(info.hops));
-        let evidence: Vec<String> = deepest
-            .iter()
-            .take(EVIDENCE_LIMIT)
-            .filter_map(|info| ctx.absint().describe_path(index, info.target))
-            .collect();
-        Some(diagnostic(
-            self.id(),
-            Severity::Info,
-            facts,
-            predicted,
-            format!(
-                "collateral could propagate along a cross-app intent chain ({depth} hops deep)"
-            ),
-            evidence,
-            // Bound: the whole reach set lit at once — hottest activity
-            // target foreground, the rest backgrounded or service-pinned.
-            ctx.absint().chain_envelope(index),
-        ))
     }
+    // Witness the deepest targets: their paths subsume shallower hops.
+    let mut deepest: Vec<&crate::absint::ReachInfo> = reach.iter().collect();
+    deepest.sort_by_key(|info| std::cmp::Reverse(info.hops));
+    let evidence: Vec<String> = deepest
+        .iter()
+        .take(EVIDENCE_LIMIT)
+        .filter_map(|info| ctx.absint().describe_path(index, info.target))
+        .collect();
+    Some(diagnostic(
+        RuleId::AttackChain,
+        Severity::Info,
+        facts,
+        predicted,
+        format!("collateral could propagate along a cross-app intent chain ({depth} hops deep)"),
+        evidence,
+        // Bound: the whole reach set lit at once — hottest activity
+        // target foreground, the rest backgrounded or service-pinned.
+        ctx.absint().chain_envelope(index),
+    ))
 }
 
 #[cfg(test)]
@@ -514,7 +409,7 @@ mod tests {
         LintContext::new(manifests.iter().map(AppFacts::from_manifest).collect())
     }
 
-    fn check_one(rule: &dyn Rule, ctx: &LintContext, index: usize) -> Option<Diagnostic> {
+    fn check_one(rule: RuleId, ctx: &LintContext, index: usize) -> Option<Diagnostic> {
         rule.check(index, &ctx.apps()[index], ctx)
     }
 
@@ -526,18 +421,18 @@ mod tests {
                 .build(),
             AppManifest::builder("com.b").activity("Open", true).build(),
         ]);
-        let diag = check_one(&ComponentHijackRule, &ctx, 0).unwrap();
+        let diag = check_one(RuleId::ComponentHijack, &ctx, 0).unwrap();
         assert_eq!(diag.rule, RuleId::ComponentHijack);
         assert!(diag.predicts(AttackKind::ActivityStart));
         assert_eq!(diag.evidence, vec!["com.b/Open"]);
         // com.b sees no foreign exported activity (com.a's is private).
-        assert!(check_one(&ComponentHijackRule, &ctx, 1).is_none());
+        assert!(check_one(RuleId::ComponentHijack, &ctx, 1).is_none());
     }
 
     #[test]
     fn spray_fires_with_any_neighbor_and_none_alone() {
         let lonely = facts_of(&[AppManifest::builder("com.a").activity("Main", true).build()]);
-        assert!(check_one(&BackgroundSprayRule, &lonely, 0).is_none());
+        assert!(check_one(RuleId::BackgroundSpray, &lonely, 0).is_none());
 
         let pair = facts_of(&[
             AppManifest::builder("com.a")
@@ -547,7 +442,7 @@ mod tests {
                 .activity("Main", false)
                 .build(),
         ]);
-        let diag = check_one(&BackgroundSprayRule, &pair, 0).unwrap();
+        let diag = check_one(RuleId::BackgroundSpray, &pair, 0).unwrap();
         assert!(diag.predicts(AttackKind::ActivityStart));
         assert!(diag.predicts(AttackKind::Interruption));
         assert_eq!(diag.severity, Severity::Info, "no known background demand");
@@ -561,10 +456,10 @@ mod tests {
                 .service("Worker", true)
                 .build(),
         ]);
-        let diag = check_one(&ServiceTetherRule, &ctx, 0).unwrap();
+        let diag = check_one(RuleId::ServiceTether, &ctx, 0).unwrap();
         assert!(diag.predicts(AttackKind::ServiceBind));
         assert!(diag.predicts(AttackKind::ServiceStart));
-        assert!(check_one(&ServiceTetherRule, &ctx, 1).is_none());
+        assert!(check_one(RuleId::ServiceTether, &ctx, 1).is_none());
     }
 
     #[test]
@@ -573,7 +468,7 @@ mod tests {
             .transparent_activity("Ghost", false)
             .build()]);
         assert_eq!(
-            check_one(&OverlayInterruptRule, &plain, 0)
+            check_one(RuleId::OverlayInterrupt, &plain, 0)
                 .unwrap()
                 .severity,
             Severity::Warning
@@ -584,7 +479,7 @@ mod tests {
             .permission(Permission::SystemAlertWindow)
             .build()]);
         assert_eq!(
-            check_one(&OverlayInterruptRule, &armed, 0)
+            check_one(RuleId::OverlayInterrupt, &armed, 0)
                 .unwrap()
                 .severity,
             Severity::Critical
@@ -594,13 +489,13 @@ mod tests {
     #[test]
     fn settings_tamper_needs_write_settings() {
         let no_perm = facts_of(&[AppManifest::builder("com.a").build()]);
-        assert!(check_one(&SettingsTamperRule, &no_perm, 0).is_none());
+        assert!(check_one(RuleId::SettingsTamper, &no_perm, 0).is_none());
 
         let armed = facts_of(&[AppManifest::builder("com.a")
             .permission(Permission::WriteSettings)
             .transparent_activity("SettingsGhost", false)
             .build()]);
-        let diag = check_one(&SettingsTamperRule, &armed, 0).unwrap();
+        let diag = check_one(RuleId::SettingsTamper, &armed, 0).unwrap();
         assert_eq!(diag.severity, Severity::Critical);
         assert!(diag.predicts(AttackKind::ScreenConfig));
     }
@@ -613,17 +508,23 @@ mod tests {
         let mut facts = AppFacts::from_manifest(&manifest);
         let ctx = LintContext::new(vec![facts.clone()]);
 
-        let unknown = WakelockHoldRule.check(0, &facts, &ctx).unwrap();
+        let unknown = RuleId::WakelockHold.check(0, &facts, &ctx).unwrap();
         assert_eq!(unknown.severity, Severity::Info);
 
         facts.wakelock_policy = Some(WakelockPolicy::Never);
         assert_eq!(
-            WakelockHoldRule.check(0, &facts, &ctx).unwrap().severity,
+            RuleId::WakelockHold
+                .check(0, &facts, &ctx)
+                .unwrap()
+                .severity,
             Severity::Critical
         );
         facts.wakelock_policy = Some(WakelockPolicy::OnDestroy);
         assert_eq!(
-            WakelockHoldRule.check(0, &facts, &ctx).unwrap().severity,
+            RuleId::WakelockHold
+                .check(0, &facts, &ctx)
+                .unwrap()
+                .severity,
             Severity::Warning
         );
     }
@@ -637,20 +538,20 @@ mod tests {
         let ctx = LintContext::new(vec![facts.clone()]);
 
         assert!(
-            NoSleepBugRule.check(0, &facts, &ctx).is_none(),
+            RuleId::NoSleepBug.check(0, &facts, &ctx).is_none(),
             "unknown policy"
         );
         facts.wakelock_policy = Some(WakelockPolicy::OnPause);
-        assert!(NoSleepBugRule.check(0, &facts, &ctx).is_none());
+        assert!(RuleId::NoSleepBug.check(0, &facts, &ctx).is_none());
         facts.wakelock_policy = Some(WakelockPolicy::Never);
         assert!(
-            NoSleepBugRule.check(0, &facts, &ctx).is_none(),
+            RuleId::NoSleepBug.check(0, &facts, &ctx).is_none(),
             "covered by EA0006"
         );
         facts.wakelock_policy = Some(WakelockPolicy::OnStop);
-        assert!(NoSleepBugRule.check(0, &facts, &ctx).is_some());
+        assert!(RuleId::NoSleepBug.check(0, &facts, &ctx).is_some());
         facts.wakelock_policy = Some(WakelockPolicy::OnDestroy);
-        let diag = NoSleepBugRule.check(0, &facts, &ctx).unwrap();
+        let diag = RuleId::NoSleepBug.check(0, &facts, &ctx).unwrap();
         assert!(diag.predicts(AttackKind::WakelockLeak));
     }
 
@@ -659,12 +560,12 @@ mod tests {
         let quiet = facts_of(&[AppManifest::builder("com.a")
             .receiver("Boot", true, &["android.intent.action.BOOT_COMPLETED"])
             .build()]);
-        assert!(check_one(&StealthAutostartRule, &quiet, 0).is_none());
+        assert!(check_one(RuleId::StealthAutostart, &quiet, 0).is_none());
 
         let armed = facts_of(&[AppManifest::builder("com.a")
             .receiver("Unlock", true, &[AndroidSystem::ACTION_USER_PRESENT])
             .build()]);
-        let diag = check_one(&StealthAutostartRule, &armed, 0).unwrap();
+        let diag = check_one(RuleId::StealthAutostart, &armed, 0).unwrap();
         assert!(diag.predicted.is_empty(), "surface rule predicts nothing");
     }
 
@@ -685,7 +586,7 @@ mod tests {
                 .service_with_actions("Open", true, &["VIEW"])
                 .build(),
         ]);
-        let diag = check_one(&AttackChainRule, &ctx, 0).unwrap();
+        let diag = check_one(RuleId::AttackChain, &ctx, 0).unwrap();
         assert!(diag.predicts(AttackKind::ActivityStart));
         assert!(diag.predicts(AttackKind::ServiceStart));
         assert_eq!(
@@ -719,16 +620,6 @@ mod tests {
             (1, 2),
             "two foreign handlers in distinct apps: the legacy pass would have fired"
         );
-        assert!(check_one(&AttackChainRule, &ctx, 0).is_none());
-    }
-
-    #[test]
-    fn registry_is_in_code_order() {
-        let rules = default_rules();
-        let ids: Vec<RuleId> = rules.iter().map(|r| r.id()).collect();
-        assert_eq!(ids, RuleId::ALL.to_vec());
-        for rule in &rules {
-            assert!(!rule.description().is_empty());
-        }
+        assert!(check_one(RuleId::AttackChain, &ctx, 0).is_none());
     }
 }

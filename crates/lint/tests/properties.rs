@@ -12,7 +12,7 @@ use ea_framework::{
     WakelockPolicy,
 };
 use ea_lint::soundness::{check_quantitative, check_superset, observed_attacks};
-use ea_lint::{default_rules, AppFacts, LintContext, Linter, RuleId};
+use ea_lint::{AppFacts, LintContext, Linter, RuleId};
 use ea_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -372,19 +372,14 @@ proptest! {
         specs in proptest::collection::vec(evidence_spec(), 1..10),
     ) {
         let ctx = LintContext::new(specs.iter().map(facts_of).collect());
-        let rules = default_rules();
-        let ids: Vec<RuleId> = rules[..3].iter().map(|rule| rule.id()).collect();
-        prop_assert_eq!(
-            ids,
-            vec![RuleId::ComponentHijack, RuleId::BackgroundSpray, RuleId::ServiceTether]
-        );
+        let rules = [RuleId::ComponentHijack, RuleId::BackgroundSpray, RuleId::ServiceTether];
         for (index, facts) in ctx.apps().iter().enumerate() {
             let expected = oracle::evidence(ctx.apps(), index);
-            for (rule, expected) in rules.iter().zip(expected) {
+            for (rule, expected) in rules.into_iter().zip(expected) {
                 let got = rule
                     .check(index, facts, &ctx)
                     .map(|diag| (diag.message, diag.evidence));
-                prop_assert_eq!(got, expected, "{:?} for app {}", rule.id(), index);
+                prop_assert_eq!(got, expected, "{:?} for app {}", rule, index);
             }
         }
     }

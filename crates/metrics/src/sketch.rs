@@ -116,12 +116,6 @@ impl QuantileSketch {
         }
     }
 
-    /// Occupied logarithmic bins (the zero bucket not included).
-    #[must_use]
-    pub fn bin_count(&self) -> usize {
-        self.bins.len()
-    }
-
     /// The bin key of a positive value: `ceil(log_base(value))`.
     fn key_of(&self, value: f64) -> i32 {
         (value.ln() * self.inv_log_base).ceil() as i32

@@ -30,7 +30,7 @@ use e_android::core::{
 use e_android::corpus::{analyze, generate_corpus, to_manifest_xml, CorpusConfig};
 use e_android::fleet::{run_fleet_traced, FleetConfig};
 use e_android::framework::AndroidSystem;
-use e_android::lint::{render, BaselineDiff, LintSystem, Linter};
+use e_android::lint::{render, BaselineDiff, LintSystem, Linter, RuleId};
 use e_android::metrics::{FleetObservatory, SnapshotEmitter};
 use e_android::serve::{run_serve, Request, ServeConfig};
 use e_android::telemetry::SinkHandle;
@@ -480,6 +480,9 @@ fn parse_fleet_config(command: &str, args: &[&str]) -> Result<FleetConfig, Strin
             Err(message) => return Err(format!("{command}: {message}")),
         }
     }
+    config
+        .validate()
+        .map_err(|message| format!("{command}: {message}"))?;
     Ok(config)
 }
 
@@ -622,6 +625,10 @@ fn cmd_replay(args: &[&str]) -> ExitCode {
             eprintln!("replay: {path} embeds a bad fault plan: {error}");
             return unusable;
         }
+    }
+    if let Err(error) = report.replay_config.validate() {
+        eprintln!("replay: {path} embeds a bad config: {error}");
+        return unusable;
     }
 
     let verdicts = e_android::fleet::replay_report(&report, healthy);
@@ -888,12 +895,17 @@ fn cmd_chaos(args: &[&str]) -> ExitCode {
 fn cmd_lint(args: &[&str]) -> ExitCode {
     if has_flag(args, "--rules") {
         println!("{:<26} {:<8} description", "rule", "attack");
-        for (rule, description) in Linter::new().rule_listing() {
+        for rule in RuleId::ALL {
             let attack = rule
                 .paper_attack()
                 .map(|n| format!("#{n}"))
                 .unwrap_or_else(|| String::from("-"));
-            println!("{:<26} {:<8} {}", rule.to_string(), attack, description);
+            println!(
+                "{:<26} {:<8} {}",
+                rule.to_string(),
+                attack,
+                rule.description()
+            );
         }
         return ExitCode::SUCCESS;
     }

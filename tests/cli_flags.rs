@@ -3,7 +3,8 @@
 //! unusable input file apart from a regression or a divergence by their
 //! exit codes.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 #[test]
 fn unparsable_numeric_flags_exit_non_zero_naming_the_flag() {
@@ -98,23 +99,79 @@ fn replay_refuses_an_unparsable_healthy_count() {
     );
 }
 
+/// Runs `eandroid replay <path>`, killing it and failing the test if it
+/// has not exited within 20 s.
+fn replay_with_deadline(path: &std::path::Path) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eandroid"))
+        .arg("replay")
+        .arg(path)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap_or_else(|error| panic!("run eandroid replay: {error}"));
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        match child.try_wait() {
+            Ok(Some(_)) => break,
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(50)),
+            Ok(None) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("eandroid replay {path:?} still running after 20 s");
+            }
+            Err(error) => panic!("wait for eandroid replay: {error}"),
+        }
+    }
+    child
+        .wait_with_output()
+        .unwrap_or_else(|error| panic!("collect eandroid replay output: {error}"))
+}
+
 #[test]
 fn replay_exits_2_when_the_report_is_unusable() {
     let dir = std::env::temp_dir().join(format!("ea-cli-replay-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap_or_else(|error| panic!("create {dir:?}: {error}"));
-    let truncated = dir.join("truncated.json");
-    std::fs::write(&truncated, "{\"schema_version\": 5, \"fleet_seed\"")
-        .unwrap_or_else(|error| panic!("write {truncated:?}: {error}"));
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap_or_else(|error| panic!("write {path:?}: {error}"));
+        path
+    };
+    let truncated = write("truncated.json", "{\"schema_version\": 5, \"fleet_seed\"");
     let missing = dir.join("missing.json");
+    // The v5 fixture with one field of its embedded `replay_config` set
+    // to a value no run can finish or use.
+    let fixture = std::fs::read_to_string(
+        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("tests/fixtures/report_v5_oracle_keys.json"),
+    )
+    .unwrap_or_else(|error| panic!("read the v5 fixture: {error}"));
+    let config_at = fixture
+        .find("\"replay_config\"")
+        .unwrap_or_else(|| panic!("the v5 fixture embeds no replay_config"));
+    let mutate = |field: &str, value: &str| {
+        let (head, config) = fixture.split_at(config_at);
+        let key = format!("\"{field}\": ");
+        let start = config
+            .find(&key)
+            .unwrap_or_else(|| panic!("replay_config has no {field}"))
+            + key.len();
+        let end = start
+            + config[start..]
+                .find([',', '\n'])
+                .unwrap_or_else(|| panic!("{field} has no terminator"));
+        let text = format!("{head}{}{value}{}", &config[..start], &config[end..]);
+        write(&format!("{field}-{value}.json"), &text)
+    };
     for (path, message) in [
-        (&truncated, "is not a fleet report"),
-        (&missing, "cannot read"),
+        (truncated, "is not a fleet report"),
+        (missing, "cannot read"),
+        (mutate("sessions", "1000000000"), "sessions"),
+        (mutate("mean_session_secs", "1000000000000"), "sessions"),
+        (mutate("step_millis", "0"), "step_millis"),
+        (mutate("min_apps", "50"), "min_apps"),
+        (mutate("corpus_size", "0"), "corpus_size"),
     ] {
-        let output = Command::new(env!("CARGO_BIN_EXE_eandroid"))
-            .arg("replay")
-            .arg(path)
-            .output()
-            .unwrap_or_else(|error| panic!("run eandroid replay: {error}"));
+        let output = replay_with_deadline(&path);
         let stderr = String::from_utf8_lossy(&output.stderr);
         assert_eq!(output.status.code(), Some(2), "{path:?}: {stderr}");
         assert!(stderr.contains(message), "{path:?}: {stderr}");
